@@ -6,7 +6,8 @@
   sort-based kernel producing identical output) and operation counting
   aligned with the cost models' ``α_build`` / ``α_lookup``.
 * :mod:`~repro.joins.join_index` — the page-level join index: the
-  sub-table connectivity graph over chunk bounding boxes, its connected
+  sub-table connectivity graph over chunk bounding boxes (built by a
+  vectorised sort-and-sweep rectangle join), its connected
   components, and the dataset statistics (``n_e``, component ``(a, b)``)
   the cost models consume.
 * :mod:`~repro.joins.scheduler` — pair scheduling for the Indexed Join:
@@ -31,7 +32,6 @@ from repro.joins.hash_join import (
     hash_join,
     vectorized_hash_join,
 )
-from repro.joins.graph_analysis import GraphAnalysis, analyze_index, to_networkx
 from repro.joins.indexed_join import IndexedJoinQES
 from repro.joins.opas import (
     evaluate_order,
@@ -59,10 +59,7 @@ __all__ = [
     "ConnectivityStats",
     "ExecutionReport",
     "GraceHashQES",
-    "GraphAnalysis",
     "IndexedJoinQES",
-    "analyze_index",
-    "to_networkx",
     "JoinKernelStats",
     "PageJoinIndex",
     "PairSchedule",

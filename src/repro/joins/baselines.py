@@ -15,11 +15,19 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.datamodel.subtable import SubTable, SubTableId, concat_subtables
-from repro.joins.hash_join import _assemble, _check_join, _key_struct
+from repro.joins.hash_join import _assemble, _check_join, _nan_rows
 from repro.metadata.service import MetaDataService
 from repro.services.bds import SubTableProvider
 
 __all__ = ["reference_join", "sort_merge_join"]
+
+
+def _key_struct(sub: SubTable, on: Sequence[str], rows: np.ndarray) -> np.ndarray:
+    """The join-key columns of ``rows`` as one structured array."""
+    out = np.empty(len(rows), dtype=[(name, sub.schema[name].np_dtype) for name in on])
+    for name in on:
+        out[name] = sub.column(name)[rows]
+    return out
 
 
 def sort_merge_join(
@@ -32,15 +40,19 @@ def sort_merge_join(
     """Classic sort-merge equi-join (vectorised merge via searchsorted).
 
     Output row order differs from the hash kernels in general; compare with
-    :meth:`SubTable.equals_unordered`.
+    :meth:`SubTable.equals_unordered`.  Key equality is the kernels' value
+    equality: NaN-keyed rows are dropped before sorting, and the field-wise
+    comparison of the sort and merge treats ``-0.0`` as ``0.0``.
     """
     _check_join(left, right, on)
-    lkeys = _key_struct(left, on)
-    rkeys = _key_struct(right, on)
-    lorder = np.argsort(lkeys, order=list(on), kind="stable")
-    rorder = np.argsort(rkeys, order=list(on), kind="stable")
-    lsorted = lkeys[lorder]
-    rsorted = rkeys[rorder]
+    lrows = np.flatnonzero(~_nan_rows(left, on))
+    rrows = np.flatnonzero(~_nan_rows(right, on))
+    lkeys = _key_struct(left, on, lrows)
+    rkeys = _key_struct(right, on, rrows)
+    lsort = np.argsort(lkeys, order=list(on), kind="stable")
+    rsort = np.argsort(rkeys, order=list(on), kind="stable")
+    lsorted, lorder = lkeys[lsort], lrows[lsort]
+    rsorted, rorder = rkeys[rsort], rrows[rsort]
 
     # for each right row (sorted), the run of equal left rows
     starts = np.searchsorted(lsorted, rsorted, side="left")

@@ -63,11 +63,14 @@ def hash_records(sub: SubTable, on: Sequence[str]) -> np.ndarray:
     """Vectorised 64-bit mix of the join-key bit patterns of every record.
 
     Equal keys hash equally across tables because hashing operates on the
-    raw bit patterns of the (dtype-checked) join columns.
+    raw bit patterns of the (dtype-checked) join columns, with ``-0.0``
+    first turned into ``0.0`` so value-equal float keys share a bucket.
     """
     h = np.zeros(sub.num_records, dtype=np.uint64)
     for name in on:
         col = sub.column(name)
+        if col.dtype.kind == "f":
+            col = col + col.dtype.type(0)  # -0.0 + 0.0 == +0.0; other bits unchanged
         if col.dtype.itemsize == 4:
             bits = col.view(np.uint32).astype(np.uint64)
         elif col.dtype.itemsize == 8:

@@ -10,11 +10,18 @@ Two interchangeable kernels produce byte-identical results:
 * :func:`dict_hash_join` — a literal hash join over a Python dict, the
   faithful algorithmic rendering; per-record Python work makes it the
   choice for small inputs and as a differential-testing oracle.
-* :func:`vectorized_hash_join` — the production kernel: join keys are
-  densified with ``np.unique`` (equality-preserving integer ids), the left
-  side is grouped by a counting sort, and probes become two
-  ``searchsorted`` sweeps.  Pure NumPy on the hot path, per the HPC
-  guides.
+* :func:`vectorized_hash_join` — the production kernel.  Join keys are
+  densified one column at a time: a 1-D ``np.unique(return_inverse=True)``
+  over left+right maps each column to dense ids, and the columns are
+  folded into one int64 mixed-radix id (``ids * k + inv``).  Before a
+  multiply that could pass 2**62 the running id is re-densified, so the
+  fold never overflows whatever the key domain.  The left side is then
+  grouped by a stable argsort and probes become two ``searchsorted``
+  sweeps.  Pure NumPy on the hot path, per the HPC guides.
+
+Key equality is value equality: ``-0.0`` equals ``0.0``, and a record with
+NaN in any join column matches nothing (NaN != NaN).  Both kernels and the
+sort-merge oracle in :mod:`~repro.joins.baselines` follow it.
 
 Both report :class:`JoinKernelStats` whose ``builds``/``probes`` counts are
 exactly what the cost models charge ``α_build``/``α_lookup`` for: one build
@@ -26,7 +33,7 @@ handles arbitrary multiplicity).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,6 +41,9 @@ from repro.datamodel.schema import Schema
 from repro.datamodel.subtable import SubTable, SubTableId
 
 __all__ = ["JoinKernelStats", "dict_hash_join", "vectorized_hash_join", "hash_join"]
+
+#: bound on the folded key id, so ``ids * k + inv`` stays inside int64
+_ID_LIMIT = 1 << 62
 
 
 @dataclass
@@ -49,15 +59,6 @@ class JoinKernelStats:
         self.probes += other.probes
         self.matches += other.matches
         return self
-
-
-def _key_struct(sub: SubTable, on: Sequence[str]) -> np.ndarray:
-    """The join-key columns as one structured array (zero-copy per column)."""
-    dtype = np.dtype([(name, sub.schema[name].np_dtype) for name in on])
-    out = np.empty(sub.num_records, dtype=dtype)
-    for name in on:
-        out[name] = sub.column(name)
-    return out
 
 
 def _result_schema(left: SubTable, right: SubTable, on: Sequence[str], suffix: str) -> Schema:
@@ -101,6 +102,54 @@ def _check_join(left: SubTable, right: SubTable, on: Sequence[str]) -> None:
             )
 
 
+def _nan_rows(sub: SubTable, on: Sequence[str]) -> np.ndarray:
+    """Rows with NaN in any join column; under value equality they match nothing."""
+    mask = np.zeros(sub.num_records, dtype=bool)
+    for name in on:
+        col = sub.column(name)
+        if col.dtype.kind in "fc":
+            mask |= np.isnan(col)
+    return mask
+
+
+def _dense_keys(
+    left: SubTable, right: SubTable, on: Sequence[str]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Equality-preserving int64 key ids for both sides.
+
+    Each column is densified with a 1-D ``np.unique`` over left+right and
+    folded into a mixed-radix id; ``radix`` bounds the running id, and the
+    id is re-densified (to at most ``n`` values) before a multiply that
+    could pass ``_ID_LIMIT``.  NaN-keyed rows get ``-1`` on the left and
+    ``-2`` on the right, so they never meet a real key or each other.
+    """
+    nl = left.num_records
+    ids = np.zeros(nl + right.num_records, dtype=np.int64)
+    radix = 1
+    for name in on:
+        uniq, inv = np.unique(
+            np.concatenate([left.column(name), right.column(name)]), return_inverse=True
+        )
+        k = len(uniq)
+        if radix * k > _ID_LIMIT:
+            dense, ids = np.unique(ids, return_inverse=True)
+            ids, radix = ids.reshape(-1), len(dense)
+        ids = ids * k + inv.reshape(-1)
+        radix *= k
+    lkeys, rkeys = ids[:nl], ids[nl:]
+    lnan, rnan = _nan_rows(left, on), _nan_rows(right, on)
+    if lnan.any():
+        lkeys = np.where(lnan, -1, lkeys)
+    if rnan.any():
+        rkeys = np.where(rnan, -2, rkeys)
+    return lkeys, rkeys
+
+
+def _key_rows(sub: SubTable, on: Sequence[str]) -> Iterator[Tuple[tuple, bool]]:
+    """Per record: its join key as a tuple of Python scalars, and whether it holds NaN."""
+    return zip(zip(*(sub.column(name).tolist() for name in on)), _nan_rows(sub, on).tolist())
+
+
 def dict_hash_join(
     left: SubTable,
     right: SubTable,
@@ -108,22 +157,26 @@ def dict_hash_join(
     result_id: Optional[SubTableId] = None,
     suffix: str = "_r",
 ) -> Tuple[SubTable, JoinKernelStats]:
-    """Literal hash join: build a dict on the left, probe with the right."""
+    """Literal hash join: build a dict on the left, probe with the right.
+
+    Keys are tuples of Python scalars, so dict lookup is value equality
+    (``-0.0 == 0.0``); NaN-keyed rows are counted but never inserted or
+    matched.
+    """
     _check_join(left, right, on)
     stats = JoinKernelStats()
 
-    table: dict[bytes, list[int]] = {}
-    left_keys = _key_struct(left, on)
-    for i in range(left.num_records):
-        table.setdefault(left_keys[i].tobytes(), []).append(i)
+    table: dict[tuple, list[int]] = {}
+    for i, (key, nan) in enumerate(_key_rows(left, on)):
         stats.builds += 1
+        if not nan:
+            table.setdefault(key, []).append(i)
 
-    right_keys = _key_struct(right, on)
     left_idx: list[int] = []
     right_idx: list[int] = []
-    for j in range(right.num_records):
+    for j, (key, nan) in enumerate(_key_rows(right, on)):
         stats.probes += 1
-        hits = table.get(right_keys[j].tobytes())
+        hits = None if nan else table.get(key)
         if hits:
             left_idx.extend(hits)
             right_idx.extend([j] * len(hits))
@@ -157,17 +210,12 @@ def vectorized_hash_join(
     _check_join(left, right, on)
     stats = JoinKernelStats(builds=left.num_records, probes=right.num_records)
 
-    nl = left.num_records
-    both = np.concatenate([_key_struct(left, on), _key_struct(right, on)])
-    _, inverse = np.unique(both, return_inverse=True)
-    lkeys = inverse[:nl]
-    rkeys = inverse[nl:]
-
-    if nl == 0 or right.num_records == 0:
+    if left.num_records == 0 or right.num_records == 0:
         empty = np.empty(0, dtype=np.intp)
         return _assemble(left, right, on, empty, empty, result_id, suffix), stats
+    lkeys, rkeys = _dense_keys(left, right, on)
 
-    # group left rows by key id with a stable counting sort
+    # group left rows by key id with a stable sort
     order = np.argsort(lkeys, kind="stable")
     sorted_keys = lkeys[order]
     # for each right key: the [start, stop) slice of matching left rows

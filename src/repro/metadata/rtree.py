@@ -13,18 +13,20 @@ list).  The implementation follows the original paper:
 * range search prunes subtrees whose MBR does not intersect the query box.
 
 Boxes are ``(lo, hi)`` pairs of equal-length float sequences (closed
-intervals, touching boxes intersect).  Payloads are opaque.
+intervals, touching boxes intersect).  Payloads are opaque.  Internally a
+box is a pair of float tuples and all geometry is plain float arithmetic:
+with two or three coordinates per box, per-call numpy overhead would
+dominate every area, enlargement and overlap test.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 __all__ = ["RTree"]
 
 Boxish = Tuple[Sequence[float], Sequence[float]]
+Vec = Tuple[float, ...]
 
 
 class _Entry:
@@ -34,8 +36,8 @@ class _Entry:
 
     def __init__(
         self,
-        lo: np.ndarray,
-        hi: np.ndarray,
+        lo: Vec,
+        hi: Vec,
         child: Optional["_Node"] = None,
         payload: object = None,
     ):
@@ -52,22 +54,28 @@ class _Node:
         self.leaf = leaf
         self.entries: List[_Entry] = []
 
-    def mbr(self) -> Tuple[np.ndarray, np.ndarray]:
-        lo = np.minimum.reduce([e.lo for e in self.entries])
-        hi = np.maximum.reduce([e.hi for e in self.entries])
+    def mbr(self) -> Tuple[Vec, Vec]:
+        lo = tuple(map(min, zip(*(e.lo for e in self.entries))))
+        hi = tuple(map(max, zip(*(e.hi for e in self.entries))))
         return lo, hi
 
 
-def _area(lo: np.ndarray, hi: np.ndarray) -> float:
-    return float(np.prod(hi - lo))
+def _area(lo: Vec, hi: Vec) -> float:
+    area = 1.0
+    for l, h in zip(lo, hi):
+        area *= h - l
+    return area
 
 
-def _enlarged(lo1, hi1, lo2, hi2) -> Tuple[np.ndarray, np.ndarray]:
-    return np.minimum(lo1, lo2), np.maximum(hi1, hi2)
+def _enlarged(lo1: Vec, hi1: Vec, lo2: Vec, hi2: Vec) -> Tuple[Vec, Vec]:
+    return tuple(map(min, lo1, lo2)), tuple(map(max, hi1, hi2))
 
 
-def _intersects(lo1, hi1, lo2, hi2) -> bool:
-    return bool(np.all(lo1 <= hi2) and np.all(lo2 <= hi1))
+def _intersects(lo1: Vec, hi1: Vec, lo2: Vec, hi2: Vec) -> bool:
+    for l1, h1, l2, h2 in zip(lo1, hi1, lo2, hi2):
+        if l1 > h2 or l2 > h1:
+            return False
+    return True
 
 
 class RTree:
@@ -144,15 +152,19 @@ class RTree:
 
     # -- internals ----------------------------------------------------------------
 
-    def _check_box(self, box: Boxish) -> Tuple[np.ndarray, np.ndarray]:
-        lo = np.asarray(box[0], dtype=float)
-        hi = np.asarray(box[1], dtype=float)
-        if lo.shape != (self.ndim,) or hi.shape != (self.ndim,):
+    def _check_box(self, box: Boxish) -> Tuple[Vec, Vec]:
+        try:
+            lo = tuple(map(float, box[0]))
+            hi = tuple(map(float, box[1]))
+        except TypeError:
+            raise ValueError(f"box must be two length-{self.ndim} vectors") from None
+        if len(lo) != self.ndim or len(hi) != self.ndim:
             raise ValueError(f"box must be two length-{self.ndim} vectors")
-        if np.any(np.isnan(lo)) or np.any(np.isnan(hi)):
-            raise ValueError("box bounds may not be NaN")
-        if np.any(lo > hi):
-            raise ValueError(f"empty box: lo={lo} > hi={hi}")
+        for l, h in zip(lo, hi):
+            if l != l or h != h:
+                raise ValueError("box bounds may not be NaN")
+            if l > h:
+                raise ValueError(f"empty box: lo={lo} > hi={hi}")
         return lo, hi
 
     def _choose_subtree(self, node: _Node, entry: _Entry) -> _Entry:
@@ -204,8 +216,8 @@ class RTree:
                     seeds = (i, j)
         g1 = [entries[seeds[0]]]
         g2 = [entries[seeds[1]]]
-        lo1, hi1 = g1[0].lo.copy(), g1[0].hi.copy()
-        lo2, hi2 = g2[0].lo.copy(), g2[0].hi.copy()
+        lo1, hi1 = g1[0].lo, g1[0].hi
+        lo2, hi2 = g2[0].lo, g2[0].hi
         rest = [e for k, e in enumerate(entries) if k not in seeds]
 
         # 2. distribute the remaining entries
@@ -252,7 +264,7 @@ class RTree:
         sibling.entries = g2
         return sibling
 
-    def _search(self, node: _Node, lo: np.ndarray, hi: np.ndarray, out: List[object]) -> None:
+    def _search(self, node: _Node, lo: Vec, hi: Vec, out: List[object]) -> None:
         for e in node.entries:
             if _intersects(e.lo, e.hi, lo, hi):
                 if node.leaf:
@@ -285,9 +297,10 @@ class RTree:
                 return
             for e in node.entries:
                 clo, chi = e.child.mbr()
-                assert np.all(e.lo <= clo) and np.all(e.hi >= chi), (
-                    "internal entry MBR does not contain child MBR"
-                )
+                # per coordinate: tuple <= alone would compare lexicographically
+                assert all(a <= b for a, b in zip(e.lo, clo)) and all(
+                    a >= b for a, b in zip(e.hi, chi)
+                ), "internal entry MBR does not contain child MBR"
                 visit(e.child, depth + 1, False)
 
         visit(self._root, 0, True)

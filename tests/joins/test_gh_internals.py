@@ -45,6 +45,12 @@ class TestHashRecords:
         for x, y, h in zip(b.column("x"), b.column("y"), hb):
             assert lookup[(x, y)] == h
 
+    def test_signed_zeros_share_a_hash(self):
+        """-0.0 equals 0.0 as a join key, so both must land in one bucket."""
+        t = table_with_keys([0.0, -0.0, 1.0], [-0.0, 0.0, 2.0])
+        h = hash_records(t, ("x", "y"))
+        assert h[0] == h[1] != h[2]
+
     def test_different_keys_rarely_collide(self):
         n = 10_000
         xs = np.arange(n, dtype=np.float32)

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.joins import build_join_index
-from repro.joins.graph_analysis import analyze_index, to_networkx
 from repro.workloads import GridSpec, make_grid_chunk_descriptors
 from repro.workloads.generator import dim_names
 from repro.workloads.irregular import build_irregular_dataset
+from tests.joins.graph_analysis import analyze_index, to_networkx
 
 
 def index_for(spec: GridSpec):

@@ -9,9 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.datamodel import BoundingBox
+from repro.datamodel.chunk import ChunkDescriptor, ChunkRef
+from repro.datamodel.subtable import SubTableId
 from repro.joins import PageJoinIndex, build_join_index
 from repro.workloads import GridSpec, make_grid_chunk_descriptors
 from repro.workloads.generator import dim_names
+from repro.workloads.irregular import kd_tiles
+from tests.joins.join_index_oracle import rtree_join_pairs
 
 
 def chunks_for(spec: GridSpec, record_size=16, num_storage=2):
@@ -149,3 +153,114 @@ class TestIndexMechanics:
         # the full xy extent): 2 x 2 = 4 edges; on xyz only aligned z-slabs
         assert idx_xy.num_edges == 4
         assert idx_xyz.num_edges == 2
+
+
+# -- differential tests: the sweep against the R-tree builder ----------------------
+
+INF = float("inf")
+
+
+def descriptor(table_id, chunk_id, bbox):
+    return ChunkDescriptor(
+        id=SubTableId(table_id, chunk_id),
+        ref=ChunkRef(storage_node=0, path=f"synthetic://t{table_id}", offset=0, size=16),
+        attributes=("x", "y", "z"),
+        extractors=("synthetic",),
+        bbox=bbox,
+        num_records=1,
+    )
+
+
+# small integer bounds, so faces touch and degenerate intervals are common;
+# an omitted attribute or an infinite end makes an interval unbounded
+bound = st.integers(min_value=0, max_value=8).map(float)
+
+
+@st.composite
+def interval(draw):
+    lo, hi = sorted((draw(bound), draw(bound)))
+    kind = draw(st.sampled_from(["finite"] * 4 + ["lo-inf", "hi-inf", "omitted"]))
+    if kind == "lo-inf":
+        lo = -INF
+    elif kind == "hi-inf":
+        hi = INF
+    elif kind == "omitted":
+        return None
+    return lo, hi
+
+
+@st.composite
+def chunk_list(draw, table_id):
+    n = draw(st.integers(min_value=0, max_value=20))
+    chunk_ids = draw(st.permutations(range(n)))  # not in id order
+    out = []
+    for cid in chunk_ids:
+        ivs = {name: draw(interval()) for name in ("x", "y", "z")}
+        out.append(descriptor(table_id, cid, BoundingBox(
+            {name: iv for name, iv in ivs.items() if iv is not None})))
+    return out
+
+
+class TestAgainstRTreeOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        left=chunk_list(1),
+        right=chunk_list(2),
+        on=st.sampled_from([("x",), ("y", "x"), ("x", "y", "z")]),
+        constrained=st.booleans(),
+        where=st.tuples(interval(), interval()),
+    )
+    def test_random_boxes_match_oracle(self, left, right, on, constrained, where):
+        constraint = None
+        if constrained:
+            constraint = BoundingBox(
+                {name: iv for name, iv in zip(("x", "z"), where) if iv is not None})
+        idx = build_join_index(left, right, on=on, range_constraint=constraint)
+        assert idx.pairs == rtree_join_pairs(left, right, on, constraint)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_kd_tilings_with_touching_faces_match_oracle(self, seed):
+        """Independent KD tilings whose tiles share faces (closed [lo, hi])."""
+        g = (32, 32, 16)
+
+        def tiles(table_id, max_records, tile_seed):
+            return [
+                descriptor(table_id, k, BoundingBox(
+                    {name: (float(lo), float(hi)) for name, (lo, hi) in zip("xyz", tile)}))
+                for k, tile in enumerate(kd_tiles(g, max_records, seed=tile_seed))
+            ]
+
+        left, right = tiles(1, 300, 2 * seed), tiles(2, 500, 2 * seed + 1)
+        for on in (("x", "y", "z"), ("z",)):
+            idx = build_join_index(left, right, on=on)
+            assert idx.pairs == rtree_join_pairs(left, right, on)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_regular_grids_match_oracle_and_component_count(self, data):
+        dims = data.draw(st.integers(min_value=1, max_value=3))
+        g, p, q = [], [], []
+        for _ in range(dims):
+            ge = data.draw(st.sampled_from([2, 4, 8, 16]))
+            p.append(data.draw(st.sampled_from([s for s in (1, 2, 4, 8, 16) if s <= ge])))
+            q.append(data.draw(st.sampled_from([s for s in (1, 2, 4, 8, 16) if s <= ge])))
+            g.append(ge)
+        spec = GridSpec(g=tuple(g), p=tuple(p), q=tuple(q))
+        left, right = chunks_for(spec)
+        on = dim_names(spec.ndim)
+        idx = build_join_index(left, right, on=on)
+        assert idx.pairs == rtree_join_pairs(left, right, on)
+        assert len(idx.components()) == spec.N_C
+
+    def test_huge_and_unbounded_coordinates(self):
+        """Bounds past ±1e18 keep their exact order (the R-tree builder
+        clamped them to ±1e18 and rejected such boxes as empty)."""
+        left = [descriptor(1, 0, BoundingBox({"x": (2e18, 3e18)})),
+                descriptor(1, 1, BoundingBox({"x": (-INF, -5e18)})),
+                descriptor(1, 2, BoundingBox({}))]
+        right = [descriptor(2, 0, BoundingBox({"x": (3e18, INF)})),
+                 descriptor(2, 1, BoundingBox({"x": (1.5e18, 1.9e18)})),
+                 descriptor(2, 2, BoundingBox({"x": (-INF, -(2.0**70))}))]
+        idx = build_join_index(left, right, on=("x",))
+        ids = [(l.chunk_id, r.chunk_id) for l, r in idx.pairs]
+        assert ids == [(0, 0), (1, 2), (2, 0), (2, 1), (2, 2)]
