@@ -5,7 +5,7 @@ checks the *semantic invariants* a correct execution must satisfy, live,
 while a join runs:
 
 * **clock monotonicity** — the engine's clock never moves backwards
-  across event dispatches (probed via :attr:`SimEngine.monitor`);
+  across event dispatches;
 * **cache accounting** — after every mutating cache operation, resident
   bytes equal the sum of entry sizes and never exceed capacity, staged
   bytes equal the sum of reservations and never exceed the prefetch
@@ -14,9 +14,9 @@ while a join runs:
   permanently shrink a shared cache);
 * **byte conservation** — every byte the report claims was pulled from
   storage corresponds to a transfer that actually succeeded on the
-  simulated fabric (wrapping ``read_and_send``/``stream_batch``), with
-  loss tolerated only when the fault plan kills compute nodes (a
-  successful transfer whose waiting joiner died is never accounted);
+  simulated fabric, with loss tolerated only when the fault plan kills
+  compute nodes (a successful transfer whose waiting joiner died is
+  never accounted);
 * **no stranded processes** — at the end of a run every spawned process
   has completed (succeeded or failed), i.e. nothing is silently blocked
   on an event nobody will trigger;
@@ -25,6 +25,12 @@ while a join runs:
   child spans nest within their parents, and the critical-path analysis
   reproduces the reported makespan exactly with its segment durations
   summing back to that total.
+
+The live checks subscribe to the run's event stream
+(:mod:`repro.cluster.stream`): ``ClockAdvance`` on every dispatch,
+``CacheOp`` after every cache mutation (a ``"bind"`` op registers the
+cache for the quiesce checks), ``TransferSettled`` for every storage
+transfer.
 
 On top of the hooks, :func:`semantic_digest` / :func:`full_digest`
 summarise a report for the *same-timestamp nondeterminism detector*: the
@@ -38,6 +44,8 @@ as a full second execution of the same pure-input workload.
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
+
+from repro.cluster.stream import CacheOp, ClockAdvance, TransferSettled
 
 __all__ = [
     "SanitizerViolation",
@@ -56,9 +64,9 @@ class RunSanitizer:
     """Installable invariant checks for one QES execution.
 
     One instance watches one execution (one engine, its caches, its
-    cluster).  Attach points are called by the QES ``run()`` methods when
-    a sanitizer is passed; ``after_run`` performs the end-of-run checks
-    and must be called exactly once, after the engine has drained.
+    cluster), wired by :meth:`~repro.cluster.cluster.ClusterSim.observe`
+    when a sanitizer is passed; ``after_run`` performs the end-of-run
+    checks and must be called exactly once, after the engine has drained.
     """
 
     def __init__(self, label: str = ""):
@@ -84,10 +92,21 @@ class RunSanitizer:
 
     # -- attach points ----------------------------------------------------------
 
+    def subscribe(self, stream) -> None:
+        """Check clock monotonicity on every event dispatch and each bound
+        cache's byte accounting after every mutation; tally the bytes of
+        every storage transfer that succeeds."""
+        stream.subscribe(ClockAdvance, self._on_clock)
+        stream.subscribe(CacheOp, self._on_cache_op)
+        stream.subscribe(TransferSettled, self._on_transfer)
+
     def attach_engine(self, engine) -> None:
-        """Probe every event dispatch for clock monotonicity."""
+        """Watch ``engine`` from its current instant on."""
         self._last_now = engine.now
-        engine.monitor = self._on_advance
+        self.subscribe(engine.stream)
+
+    def _on_clock(self, ev: ClockAdvance) -> None:
+        self._on_advance(ev.now)
 
     def _on_advance(self, now: float) -> None:
         self.checks["clock"] += 1
@@ -97,10 +116,13 @@ class RunSanitizer:
             )
         self._last_now = now
 
-    def attach_cache(self, cache, name: str = "") -> None:
-        """Re-check the cache's byte accounting after every mutation."""
-        self._caches.append((name, cache))
-        cache.install_validator(lambda op, c=cache, n=name: self._check_cache(c, n, op))
+    def _on_cache_op(self, ev: CacheOp) -> None:
+        name = f"node{ev.node}"
+        if ev.op == "bind":
+            # quiesce checks cover every cache bound to the watched run
+            self._caches.append((name, ev.cache))
+        else:
+            self._check_cache(ev.cache, name, ev.op)
 
     def _check_cache(self, cache, name: str, op: str) -> None:
         self.checks["cache"] += 1
@@ -132,32 +154,13 @@ class RunSanitizer:
             self._fail(f"{where}: negative pin count on {negative!r}")
 
     def attach_cluster(self, cluster) -> None:
-        """Tally the bytes of every storage transfer that succeeds.
-
-        The wrapped methods return the exact event the QES observes (the
-        fault-guarded one), so the tally counts precisely the transfers
-        whose success a control loop could have accounted.
-        """
-        if getattr(cluster, "_sanitizer_wrapped", False):
-            self._fail("cluster already has a sanitizer attached")
-        cluster._sanitizer_wrapped = True
+        """Judge byte conservation against ``cluster``'s fault plan."""
         self._cluster = cluster
-        for method in ("read_and_send", "stream_batch"):
-            orig = getattr(cluster, method)
 
-            def wrapped(storage, compute, nbytes, _orig=orig):
-                ev = _orig(storage, compute, nbytes)
-                ev.callbacks.append(
-                    lambda e, n=nbytes: self._on_transfer_done(e, n)
-                )
-                return ev
-
-            setattr(cluster, method, wrapped)
-
-    def _on_transfer_done(self, ev, nbytes: int) -> None:
+    def _on_transfer(self, ev: TransferSettled) -> None:
         self.checks["transfer"] += 1
         if ev.ok:
-            self.transferred_ok += nbytes
+            self.transferred_ok += ev.nbytes
 
     # -- end-of-run checks -------------------------------------------------------
 

@@ -30,6 +30,7 @@ from repro.cluster.events import Event, Process, SimEngine, Timeout
 from repro.cluster.network import NetworkFabric, NFSFabric, SwitchedFabric
 from repro.cluster.nodes import ComputeNode, MachineSpec, StorageNode, PAPER_MACHINE
 from repro.cluster.resources import BandwidthResource
+from repro.cluster.stream import NetTransfer, TransferSettled
 from repro.cluster.trace import Tracer
 
 __all__ = ["ClusterSim", "ClusterTopology", "paper_cluster", "nfs_cluster"]
@@ -91,7 +92,8 @@ class ClusterSim:
         the run (exposed as ``self.telemetry`` and ``engine.telemetry``):
         causal span tracing, the metrics registry, and — since spans
         subsume busy intervals — a :class:`Tracer` view sharing the same
-        recorder, as if ``trace=True``.
+        recorder, as if ``trace=True``.  Both subscribe to the engine's
+        event stream (:meth:`observe`).
         """
         self.topology = topology
         self.spec = spec
@@ -106,14 +108,16 @@ class ClusterSim:
                     raise ValueError(f"no {kind} node {node_id} in this topology")
         self.engine = SimEngine(tie_break=tie_break)
         self.telemetry = None
+        #: busy-interval recorder, when constructed with ``trace=True``
+        self.tracer: Optional[Tracer] = None
         if telemetry:
             from repro.telemetry import Telemetry
 
             self.telemetry = Telemetry(self.engine)
             self.engine.telemetry = self.telemetry
-            self.engine.tracer = Tracer(recorder=self.telemetry.recorder)
+            self.tracer = Tracer(recorder=self.telemetry.recorder)
         elif trace:
-            self.engine.tracer = Tracer()
+            self.tracer = Tracer()
         total = topology.num_storage + topology.num_compute
         if topology.shared_nfs:
             self.fabric: NetworkFabric = NFSFabric(
@@ -150,6 +154,31 @@ class ClusterSim:
             self.faults = FaultInjector(self, faults)
         if self.telemetry is not None:
             self._register_telemetry()
+        self.observe()
+
+    def observe(self, caches=(), sanitizer=None, observatory=None, metadata=None) -> None:
+        """Wire a run's observers to the engine's event stream.
+
+        This is the one place observation is attached.  The cluster's
+        tracer and telemetry hub, the run's sanitizer and the serve
+        observatory subscribe to ``engine.stream``; then cache ``j`` is
+        bound to the stream as compute node ``j`` (a warm cache from an
+        earlier run is rebound, so it notifies only this run's
+        subscribers) and the MetaData Service counts into the run's
+        metrics.  Subscribing and binding are idempotent, so a QES begun
+        inside a query server wires nothing twice.
+        """
+        stream = self.engine.stream
+        for observer in (self.tracer, self.telemetry, observatory):
+            if observer is not None:
+                observer.subscribe(stream)
+        if sanitizer is not None:
+            sanitizer.attach_engine(self.engine)
+            sanitizer.attach_cluster(self)
+        for j, cache in enumerate(caches):
+            cache.bind(stream, j)
+        if metadata is not None and self.telemetry is not None:
+            metadata.attach_metrics(self.telemetry.metrics)
 
     def _register_telemetry(self) -> None:
         """Map resources to logical nodes and register component metrics."""
@@ -165,9 +194,12 @@ class ClusterSim:
                 nodes[c.scratch.name] = f"compute{c.node_id}"
         if getattr(self.fabric, "_backplane", None) is not None:
             nodes[self.fabric._backplane.name] = "network"
-        self.fabric.attach_telemetry(tel)
+        tel.metrics.counter("net.transfers")
+        tel.metrics.histogram("net.transfer_bytes", bounds=tel.BYTE_BUCKETS)
         if self.faults is not None:
-            self.faults.attach_telemetry(tel)
+            for name in ("storage_crashes", "compute_crashes", "degradations",
+                         "transient_failures"):
+                tel.metrics.counter(f"faults.{name}")
 
     # -- shorthand accessors ----------------------------------------------------
 
@@ -214,18 +246,24 @@ class ClusterSim:
         With a fault plan installed the request may *fail* instead:
         fail-fast (no resources burned) when the node is already dead,
         mid-flight on a node crash, or at completion on a transient fault.
+        Every returned event settles as a ``TransferSettled`` on the
+        engine's stream (the sanitizer's byte-conservation feed).
         """
-        if self.faults is not None:
-            dead = self.faults.check_storage(storage)
-            if dead is not None:
-                return dead
-        s = self.storage_nodes[storage]
-        c = self.compute_nodes[compute]
-        self.fabric._observe_transfer(s.fabric_id, c.fabric_id, nbytes)
-        resources = [s.disk] + self.fabric.transfer_resources(s.fabric_id, c.fabric_id)
-        transfer = BandwidthResource.reserve_pipeline(resources, nbytes)
-        if self.faults is not None:
-            return self.faults.guard_transfer(transfer, storage)
+        injector = self.faults
+        transfer = injector.check_storage(storage) if injector is not None else None
+        if transfer is None:
+            s = self.storage_nodes[storage]
+            c = self.compute_nodes[compute]
+            self.engine.stream.emit(NetTransfer, s.fabric_id, c.fabric_id, nbytes)
+            resources = [s.disk] + self.fabric.transfer_resources(s.fabric_id, c.fabric_id)
+            transfer = BandwidthResource.reserve_pipeline(resources, nbytes)
+            if injector is not None:
+                transfer = injector.guard_transfer(transfer, storage)
+        stream = self.engine.stream
+        if TransferSettled in stream:
+            transfer.callbacks.append(
+                lambda ev: stream.emit(TransferSettled, storage, nbytes, ev.ok)
+            )
         return transfer
 
     def send(self, src_compute_or_storage_fabric: int, dst_fabric: int, nbytes: int) -> Timeout:
@@ -236,18 +274,7 @@ class ClusterSim:
         """Stream ``nbytes`` of freshly-read records from a storage node to
         a compute node (same pipelined read-ahead semantics and failure
         modes as :meth:`read_and_send`)."""
-        if self.faults is not None:
-            dead = self.faults.check_storage(storage)
-            if dead is not None:
-                return dead
-        s = self.storage_nodes[storage]
-        c = self.compute_nodes[compute]
-        self.fabric._observe_transfer(s.fabric_id, c.fabric_id, nbytes)
-        resources = [s.disk] + self.fabric.transfer_resources(s.fabric_id, c.fabric_id)
-        transfer = BandwidthResource.reserve_pipeline(resources, nbytes)
-        if self.faults is not None:
-            return self.faults.guard_transfer(transfer, storage)
-        return transfer
+        return self.read_and_send(storage, compute, nbytes)
 
     def ingest_write(self, compute: int, nbytes: int) -> Event:
         """Bucket write of a just-received batch by the joiner's QES thread.
@@ -300,11 +327,6 @@ class ClusterSim:
         return self.engine.process(
             driver(), name=f"nfs_{'write' if write else 'read'} c{c.node_id}"
         )
-
-    @property
-    def tracer(self) -> Optional[Tracer]:
-        """The trace recorder, when constructed with ``trace=True``."""
-        return self.engine.tracer
 
     # -- reporting ------------------------------------------------------------------
 

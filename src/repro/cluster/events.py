@@ -37,6 +37,8 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, Dict, Generator, Iterable, List, Optional
 
+from repro.cluster.stream import ClockAdvance, EventStream
+
 __all__ = [
     "Event",
     "Timeout",
@@ -402,20 +404,13 @@ class SimEngine:
         #: live (not yet completed) processes, in spawn order — the
         #: substrate of the deadlock diagnostic
         self._live: Dict[Process, None] = {}
-        #: optional :class:`repro.cluster.trace.Tracer` recording resource
-        #: busy intervals; assigned by the cluster when tracing is enabled
-        self.tracer = None
+        #: the run's observation channel (:mod:`repro.cluster.stream`):
+        #: every observer subscribes here, the simulation only emits
+        self.stream = EventStream()
         #: optional :class:`repro.telemetry.Telemetry` hub; assigned by the
         #: cluster when span telemetry is enabled, ``None`` otherwise so
         #: instrumentation sites can short-circuit without allocating
         self.telemetry = None
-        #: optional callable invoked with the new clock value on every
-        #: event dispatch in :meth:`run` — the sanitizer's monotonicity probe
-        self.monitor: Optional[Callable[[float], None]] = None
-        #: additional dispatch observers (see :meth:`add_monitor`); kept
-        #: separate from :attr:`monitor` so attaching telemetry never
-        #: clobbers the sanitizer (or vice versa)
-        self._monitors: List[Callable[[float], None]] = []
         #: the :class:`Process` whose generator is currently executing —
         #: the span recorder keys its per-process span stacks on this
         self.current_process: Optional[Process] = None
@@ -470,15 +465,6 @@ class SimEngine:
         """Processes spawned but not yet completed, in spawn order."""
         return [p for p in self._live if not p.triggered]
 
-    def add_monitor(self, fn: Callable[[float], None]) -> None:
-        """Register an additional per-dispatch observer.
-
-        Observers run after :attr:`monitor` on every dispatch, in
-        registration order.  Unlike assigning :attr:`monitor` directly
-        (the sanitizer's historical API), registering here composes.
-        """
-        self._monitors.append(fn)
-
     def run(self, until: Optional[float] = None) -> float:
         """Drain the queue (optionally stopping at time ``until``).
 
@@ -487,6 +473,7 @@ class SimEngine:
         matching what a wall clock would read), otherwise the time of the
         last event.
         """
+        stream = self.stream
         while self._queue:
             at, _, fn = self._queue[0]
             if until is not None and at > until:
@@ -494,10 +481,8 @@ class SimEngine:
                 return self.now
             heapq.heappop(self._queue)
             self.now = at
-            if self.monitor is not None:
-                self.monitor(at)
-            for mon in self._monitors:
-                mon(at)
+            if ClockAdvance in stream:
+                stream.emit(ClockAdvance, at)
             fn()
         if until is not None and until > self.now:
             self.now = until

@@ -23,33 +23,13 @@ from typing import Dict, Optional
 
 from repro.cluster.events import SimEngine, Timeout
 from repro.cluster.resources import BandwidthResource
+from repro.cluster.stream import NetTransfer
 
 __all__ = ["NetworkFabric", "SwitchedFabric", "NFSFabric"]
 
 
 class NetworkFabric:
     """Interface: move ``nbytes`` from node ``src`` to node ``dst``."""
-
-    #: optional :class:`repro.telemetry.Telemetry` hub; when attached,
-    #: every transfer feeds the ``net.*`` counters/histograms
-    telemetry = None
-
-    def attach_telemetry(self, telemetry) -> None:
-        """Register the fabric's instruments on a telemetry hub."""
-        self.telemetry = telemetry
-        telemetry.metrics.counter("net.transfers")
-        telemetry.metrics.histogram(
-            "net.transfer_bytes", bounds=telemetry.BYTE_BUCKETS
-        )
-
-    def _observe_transfer(self, src: int, dst: int, nbytes: int) -> None:
-        tel = self.telemetry
-        if tel is None:
-            return
-        tel.metrics.counter("net.transfers").inc()
-        tel.metrics.histogram(
-            "net.transfer_bytes", bounds=tel.BYTE_BUCKETS
-        ).observe(nbytes)
 
     def transfer(self, src: int, dst: int, nbytes: int) -> Timeout:
         raise NotImplementedError
@@ -120,7 +100,7 @@ class SwitchedFabric(NetworkFabric):
         return resources
 
     def transfer(self, src: int, dst: int, nbytes: int) -> Timeout:
-        self._observe_transfer(src, dst, nbytes)
+        self.engine.stream.emit(NetTransfer, src, dst, nbytes)
         resources = self.transfer_resources(src, dst)
         if not resources:
             return self.engine.timeout(0.0)
@@ -168,7 +148,7 @@ class NFSFabric(NetworkFabric):
         return [self.nic(src), self.nic(dst)]
 
     def transfer(self, src: int, dst: int, nbytes: int) -> Timeout:
-        self._observe_transfer(src, dst, nbytes)
+        self.engine.stream.emit(NetTransfer, src, dst, nbytes)
         resources = self.transfer_resources(src, dst)
         if not resources:
             return self.engine.timeout(0.0)

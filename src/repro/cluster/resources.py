@@ -14,7 +14,9 @@ not bookkeeping.
 
 Besides time, each resource accumulates utilisation statistics
 (:class:`ResourceStats`) that the execution reports expose — the analogue
-of the ``iostat``/``ifconfig`` counters one would read on the real cluster.
+of the ``iostat``/``ifconfig`` counters one would read on the real cluster
+— and emits every reservation as a :class:`~repro.cluster.stream.Busy`
+event on the engine's stream (tracer and telemetry subscribe to it).
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cluster.events import SimEngine, Timeout
+from repro.cluster.stream import Busy
 
 __all__ = ["BandwidthResource", "ResourceStats"]
 
@@ -120,10 +123,7 @@ class BandwidthResource:
         self.stats.bytes_served += nbytes
         self.stats.num_requests += 1
         self.stats.last_completion = completion
-        if self.engine.tracer is not None:
-            self.engine.tracer.record(self.name, start, completion)
-        if self.engine.telemetry is not None:
-            self.engine.telemetry.on_reservation(self.name, now, start, nbytes)
+        self.engine.stream.emit(Busy, self.name, now, start, completion, nbytes)
         return self.engine.timeout(completion - now)
 
     # -- coordinated multi-resource reservation ------------------------------------
@@ -169,10 +169,7 @@ class BandwidthResource:
             r.stats.num_requests += 1
             r.stats.last_completion = r._busy_until
             completion = max(completion, r._busy_until)
-            if engine.tracer is not None:
-                engine.tracer.record(r.name, start, r._busy_until)
-            if engine.telemetry is not None:
-                engine.telemetry.on_reservation(r.name, now, start, nbytes)
+            engine.stream.emit(Busy, r.name, now, start, r._busy_until, nbytes)
         return engine.timeout(completion - now)
 
     @staticmethod
@@ -200,10 +197,7 @@ class BandwidthResource:
             r.stats.bytes_served += nbytes
             r.stats.num_requests += 1
             r.stats.last_completion = completion
-            if engine.tracer is not None:
-                engine.tracer.record(r.name, start, completion)
-            if engine.telemetry is not None:
-                engine.telemetry.on_reservation(r.name, now, start, nbytes)
+            engine.stream.emit(Busy, r.name, now, start, completion, nbytes)
         return engine.timeout(completion - now)
 
     def __repr__(self) -> str:

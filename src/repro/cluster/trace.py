@@ -20,8 +20,8 @@ bug.  :meth:`Tracer.record` therefore *detects* overlap and raises
 (``on_overlap="warn"`` downgrades to a warning) instead of letting
 utilisation silently exceed and then be clamped to 100%.
 
-Enable with ``ClusterSim(..., trace=True)`` (or by assigning
-``sim.engine.tracer = Tracer()`` before running) — tracing is off by
+Enable with ``ClusterSim(..., trace=True)`` (or subscribe one to an
+engine's stream with :meth:`Tracer.subscribe`) — tracing is off by
 default because interval lists grow linearly with reservations.
 """
 
@@ -33,6 +33,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.cluster.stream import Busy
 from repro.telemetry.spans import SpanRecorder
 
 __all__ = ["Interval", "Tracer", "OverlapError"]
@@ -77,6 +78,13 @@ class Tracer:
         #: per-resource interval endpoints sorted by start, for overlap
         #: detection in O(log n) per record
         self._sorted: Dict[str, List[Tuple[float, float]]] = {}
+
+    def subscribe(self, stream) -> None:
+        """Record every :class:`~repro.cluster.stream.Busy` interval."""
+        stream.subscribe(Busy, self._on_busy)
+
+    def _on_busy(self, ev: Busy) -> None:
+        self.record(ev.resource, ev.start, ev.end)
 
     def record(self, resource: str, start: float, end: float) -> None:
         if end < start:

@@ -29,6 +29,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set
 
 from repro.cluster.events import Event, Process
+from repro.cluster.stream import FaultInjected
 from repro.faults.errors import ComputeNodeDown, StorageNodeDown, TransientTransferFault
 from repro.faults.plan import Degradation, FaultPlan, NodeCrash
 
@@ -45,7 +46,6 @@ class FaultInjector:
         self.cluster = cluster
         self.plan = plan
         self.engine = cluster.engine
-        self.telemetry = None
         #: node ids whose crash has already fired
         self.dead_storage: Set[int] = set()
         self.dead_compute: Set[int] = set()
@@ -86,25 +86,8 @@ class FaultInjector:
                 name=f"fault-{deg.kind}-degrade{node}",
             )
 
-    def attach_telemetry(self, telemetry) -> None:
-        """Register fault instruments; crash instants become fault spans."""
-        self.telemetry = telemetry
-        telemetry.metrics.counter("faults.storage_crashes")
-        telemetry.metrics.counter("faults.compute_crashes")
-        telemetry.metrics.counter("faults.degradations")
-        telemetry.metrics.counter("faults.transient_failures")
-
     def _mark_fault(self, name: str, counter: str, **attrs) -> None:
-        tel = self.telemetry
-        if tel is None:
-            return
-        tel.metrics.counter(counter).inc()
-        # zero-length marker span: visible as an instant in the trace
-        span = tel.recorder.begin(
-            name, category="fault", node="global", track="faults",
-            parent=None, detached=True, **attrs,
-        )
-        tel.recorder.finish(span)
+        self.engine.stream.emit(FaultInjected, name, counter, attrs)
 
     def _validate_node(self, kind: str, node: int) -> None:
         n = self.cluster.num_storage if kind == "storage" else self.cluster.num_compute

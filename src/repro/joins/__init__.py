@@ -1,10 +1,9 @@
 """Join layer: the Query Execution Systems and their building blocks.
 
 * :mod:`~repro.joins.hash_join` — the in-memory hash join both distributed
-  algorithms use as their inner kernel, with two interchangeable
-  implementations (a literal dict-based hash join, and a vectorised
-  sort-based kernel producing identical output) and operation counting
-  aligned with the cost models' ``α_build`` / ``α_lookup``.
+  algorithms use as their inner kernel (vectorised, sort-based), with
+  operation counting aligned with the cost models' ``α_build`` /
+  ``α_lookup``.
 * :mod:`~repro.joins.join_index` — the page-level join index: the
   sub-table connectivity graph over chunk bounding boxes (built by a
   vectorised sort-and-sweep rectangle join), its connected
@@ -28,7 +27,6 @@ from repro.joins.baselines import reference_join
 from repro.joins.grace_hash import GraceHashQES
 from repro.joins.hash_join import (
     JoinKernelStats,
-    dict_hash_join,
     hash_join,
     vectorized_hash_join,
 )
@@ -65,7 +63,6 @@ __all__ = [
     "PairSchedule",
     "PhaseBreakdown",
     "build_join_index",
-    "dict_hash_join",
     "evaluate_order",
     "hash_join",
     "order_bfs_clustered",

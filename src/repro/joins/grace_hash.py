@@ -103,7 +103,6 @@ class GraceHashQES:
         on: Sequence[str],
         provider: SubTableProvider,
         num_buckets: Optional[int] = None,
-        kernel: str = "vectorized",
         range_constraint: Optional["BoundingBox"] = None,
         sanitizer=None,
         critical_path: bool = True,
@@ -115,7 +114,6 @@ class GraceHashQES:
         self.right = metadata.table(right)
         self.on = tuple(on)
         self.provider = provider
-        self.kernel = kernel
         self.range_constraint = range_constraint
         #: optional RunSanitizer installing invariant hooks (``--sanitize``)
         self.sanitizer = sanitizer
@@ -172,14 +170,10 @@ class GraceHashQES:
         )
         report.extras["num_buckets"] = float(n_b)
 
-        if self.sanitizer is not None:
-            self.sanitizer.attach_engine(cluster.engine)
-            self.sanitizer.attach_cluster(cluster)
-
+        cluster.observe(sanitizer=self.sanitizer, metadata=self.metadata)
         tel = cluster.telemetry
         qspan = pspan = None
         if tel is not None:
-            self.metadata.attach_metrics(tel.metrics)
             tel.metrics.histogram("gh.bucket_seconds")
             qspan = tel.recorder.begin(
                 "query",
@@ -674,7 +668,6 @@ class GraceHashQES:
                     right_bucket,
                     self.on,
                     result_id=SubTableId(-1, j * self.num_buckets + b),
-                    kernel=self.kernel,
                 )
                 report.kernel.matches += ks.matches
                 if out.num_records:

@@ -5,25 +5,21 @@ requires a hash-table be built using the left (inner) relation with the
 attribute of interest and that the resulting hash table be probed with the
 records of the right (outer) relation" (Section 5).
 
-Two interchangeable kernels produce byte-identical results:
-
-* :func:`dict_hash_join` — a literal hash join over a Python dict, the
-  faithful algorithmic rendering; per-record Python work makes it the
-  choice for small inputs and as a differential-testing oracle.
-* :func:`vectorized_hash_join` — the production kernel.  Join keys are
-  densified one column at a time: a 1-D ``np.unique(return_inverse=True)``
-  over left+right maps each column to dense ids, and the columns are
-  folded into one int64 mixed-radix id (``ids * k + inv``).  Before a
-  multiply that could pass 2**62 the running id is re-densified, so the
-  fold never overflows whatever the key domain.  The left side is then
-  grouped by a stable argsort and probes become two ``searchsorted``
-  sweeps.  Pure NumPy on the hot path, per the HPC guides.
+The kernel, :func:`vectorized_hash_join`, is pure NumPy on the hot path,
+per the HPC guides.  Join keys are densified one column at a time: a 1-D
+``np.unique(return_inverse=True)`` over left+right maps each column to
+dense ids, and the columns are folded into one int64 mixed-radix id
+(``ids * k + inv``).  Before a multiply that could pass 2**62 the running
+id is re-densified, so the fold never overflows whatever the key domain.
+The left side is then grouped by a stable argsort and probes become two
+``searchsorted`` sweeps.  The test suite checks it against a literal
+dict-based hash join and the sort-merge oracle.
 
 Key equality is value equality: ``-0.0`` equals ``0.0``, and a record with
-NaN in any join column matches nothing (NaN != NaN).  Both kernels and the
-sort-merge oracle in :mod:`~repro.joins.baselines` follow it.
+NaN in any join column matches nothing (NaN != NaN).  The sort-merge
+oracle in :mod:`~repro.joins.baselines` follows it too.
 
-Both report :class:`JoinKernelStats` whose ``builds``/``probes`` counts are
+The kernel reports :class:`JoinKernelStats` whose ``builds``/``probes`` counts are
 exactly what the cost models charge ``α_build``/``α_lookup`` for: one build
 per left record, one probe per right record (the paper's join-selectivity-1
 assumption makes one lookup per right record sufficient; the kernel itself
@@ -33,14 +29,14 @@ handles arbitrary multiplicity).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.datamodel.schema import Schema
 from repro.datamodel.subtable import SubTable, SubTableId
 
-__all__ = ["JoinKernelStats", "dict_hash_join", "vectorized_hash_join", "hash_join"]
+__all__ = ["JoinKernelStats", "vectorized_hash_join", "hash_join"]
 
 #: bound on the folded key id, so ``ids * k + inv`` stays inside int64
 _ID_LIMIT = 1 << 62
@@ -145,54 +141,6 @@ def _dense_keys(
     return lkeys, rkeys
 
 
-def _key_rows(sub: SubTable, on: Sequence[str]) -> Iterator[Tuple[tuple, bool]]:
-    """Per record: its join key as a tuple of Python scalars, and whether it holds NaN."""
-    return zip(zip(*(sub.column(name).tolist() for name in on)), _nan_rows(sub, on).tolist())
-
-
-def dict_hash_join(
-    left: SubTable,
-    right: SubTable,
-    on: Sequence[str],
-    result_id: Optional[SubTableId] = None,
-    suffix: str = "_r",
-) -> Tuple[SubTable, JoinKernelStats]:
-    """Literal hash join: build a dict on the left, probe with the right.
-
-    Keys are tuples of Python scalars, so dict lookup is value equality
-    (``-0.0 == 0.0``); NaN-keyed rows are counted but never inserted or
-    matched.
-    """
-    _check_join(left, right, on)
-    stats = JoinKernelStats()
-
-    table: dict[tuple, list[int]] = {}
-    for i, (key, nan) in enumerate(_key_rows(left, on)):
-        stats.builds += 1
-        if not nan:
-            table.setdefault(key, []).append(i)
-
-    left_idx: list[int] = []
-    right_idx: list[int] = []
-    for j, (key, nan) in enumerate(_key_rows(right, on)):
-        stats.probes += 1
-        hits = None if nan else table.get(key)
-        if hits:
-            left_idx.extend(hits)
-            right_idx.extend([j] * len(hits))
-    stats.matches = len(left_idx)
-    result = _assemble(
-        left,
-        right,
-        on,
-        np.asarray(left_idx, dtype=np.intp),
-        np.asarray(right_idx, dtype=np.intp),
-        result_id,
-        suffix,
-    )
-    return result, stats
-
-
 def vectorized_hash_join(
     left: SubTable,
     right: SubTable,
@@ -202,10 +150,9 @@ def vectorized_hash_join(
 ) -> Tuple[SubTable, JoinKernelStats]:
     """Vectorised equi-join with hash-join-equivalent output.
 
-    Left row order within a key group is preserved (matching the dict
-    kernel's insertion order) and right rows are processed in order, so the
-    two kernels return results in the identical row order — they are
-    drop-in replacements, not merely multiset-equal.
+    Left row order within a key group is preserved and right rows are
+    processed in order — the row order of a literal dict-based hash join,
+    not merely the same multiset.
     """
     _check_join(left, right, on)
     stats = JoinKernelStats(builds=left.num_records, probes=right.num_records)
@@ -246,11 +193,6 @@ def hash_join(
     on: Sequence[str],
     result_id: Optional[SubTableId] = None,
     suffix: str = "_r",
-    kernel: str = "vectorized",
 ) -> Tuple[SubTable, JoinKernelStats]:
-    """Front door: pick a kernel by name (``vectorized`` or ``dict``)."""
-    if kernel == "vectorized":
-        return vectorized_hash_join(left, right, on, result_id, suffix)
-    if kernel == "dict":
-        return dict_hash_join(left, right, on, result_id, suffix)
-    raise ValueError(f"unknown kernel {kernel!r}")
+    """Front door both QES call: the production (vectorised) kernel."""
+    return vectorized_hash_join(left, right, on, result_id, suffix)

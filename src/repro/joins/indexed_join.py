@@ -94,8 +94,6 @@ class IndexedJoinQES:
     cache_policy:
         ``lru`` (default, the paper's choice), ``fifo``, ``lfu`` or
         ``belady``.
-    kernel:
-        In-memory join kernel for functional runs.
     caches:
         Pre-populated per-joiner Caching Service instances (one per compute
         node).  Passing the caches of a previous execution warms this one —
@@ -143,7 +141,6 @@ class IndexedJoinQES:
         schedule: Optional[PairSchedule] = None,
         cache_capacity: Optional[int] = None,
         cache_policy: str = "lru",
-        kernel: str = "vectorized",
         caches: Optional[List[CachingService]] = None,
         pipeline: bool = False,
         prefetch_budget: Optional[int] = None,
@@ -179,7 +176,6 @@ class IndexedJoinQES:
         self.caches = caches
         self.cache_capacity = cache_capacity
         self.cache_policy = cache_policy
-        self.kernel = kernel
         self.pipeline = pipeline
         self.prefetch_budget = prefetch_budget
         self.sanitizer = sanitizer
@@ -241,21 +237,11 @@ class IndexedJoinQES:
         # lifetime counters (a warmed cache has history from earlier runs)
         stats_before = [c.stats.snapshot() for c in caches]
 
-        if self.sanitizer is not None:
-            self.sanitizer.attach_engine(cluster.engine)
-            self.sanitizer.attach_cluster(cluster)
-            for j, c in enumerate(caches):
-                self.sanitizer.attach_cache(c, name=f"joiner{j}")
-
+        cluster.observe(caches, sanitizer=self.sanitizer, metadata=self.metadata)
         tel = cluster.telemetry
         qspan = None
         if tel is not None:
-            self.metadata.attach_metrics(tel.metrics)
             tel.metrics.histogram("ij.pair_seconds")
-            for j, c in enumerate(caches):
-                c.attach_telemetry(
-                    tel, lambda: cluster.engine.now, prefix=f"cache.j{j}"
-                )
             qspan = tel.recorder.begin(
                 "query",
                 category="query",
@@ -854,7 +840,6 @@ class IndexedJoinQES:
                 right_entry,
                 self.on,
                 result_id=SubTableId(-1, seq),
-                kernel=self.kernel,
             )
             report.kernel.matches += ks.matches
             if out.num_records:

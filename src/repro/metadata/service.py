@@ -16,7 +16,6 @@ page-level join indexes).
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -31,15 +30,15 @@ from repro.storage.writer import WrittenTable
 
 __all__ = ["MetaDataService", "TableCatalog"]
 
-#: Finite stand-in for infinite bounds inside the R-tree (area arithmetic
-#: cannot host IEEE infinities: inf * 0 = nan).
+#: The R-tree indexes every bound clamped into ``[-_CLAMP, _CLAMP]``: area
+#: arithmetic cannot host IEEE infinities (inf * 0 = nan).  Clamping is
+#: monotone, so boxes that overlap still overlap once clamped, and the exact
+#: ``bbox.overlaps`` refinement drops the false candidates it adds.
 _CLAMP = 1e18
 
 
 def _clamped(value: float) -> float:
-    if math.isinf(value):
-        return _CLAMP if value > 0 else -_CLAMP
-    return value
+    return min(max(value, -_CLAMP), _CLAMP)
 
 
 @dataclass

@@ -5,11 +5,12 @@ alone cannot give: *which* sub-tables are re-fetched or re-built across
 the query stream, how often, and at what recompute cost.  This module
 supplies it in three layers, all passive and all post-hoc:
 
-* :class:`AccessTraceRecorder` — subscribes to the key-granular
-  :class:`~repro.services.cache.CacheAccess` feed of every shared cache
-  and timestamps each hit/miss/insert/drop on the simulated clock.  It
-  schedules nothing, draws no randomness and mutates no cache state, so
-  a recorded serve is event-for-event identical to an unrecorded one.
+* :class:`AccessTraceRecorder` — subscribes to the engine's event
+  stream (:mod:`repro.cluster.stream`) and timestamps each key-granular
+  :class:`~repro.cluster.stream.CacheAccess` (hit/miss/insert/drop) of
+  every cache bound to it on the simulated clock.  It schedules
+  nothing, draws no randomness and mutates no cache state, so a
+  recorded serve is event-for-event identical to an unrecorded one.
 * Mattson-style **byte-weighted reuse distances** over the recorded
   access string, rolled into what-if miss-ratio curves (MRC) at
   alternative cache capacities — global and per tenant — plus windowed
@@ -44,6 +45,7 @@ from typing import (
     Tuple,
 )
 
+from repro.cluster.stream import CacheAccess, CacheOp, QuerySubmitted
 from repro.telemetry.timeseries import window_edges
 
 __all__ = [
@@ -376,7 +378,7 @@ class AccessTraceRecorder:
     One recorder watches every compute node's cache; each key-granular
     event is stamped with the simulated clock and the query id the
     operation arrived under (the serving view's ``qid``), which the
-    server's submit hook later maps to a tenant.  Everything analytical
+    stream's ``QuerySubmitted`` events map to a tenant.  Everything analytical
     — distances, curves, windows, candidate scores — is computed once,
     after the run, from the recorded trace; recording itself is pure
     appending.
@@ -392,27 +394,29 @@ class AccessTraceRecorder:
         self._tenants: Dict[int, str] = {}
         self.cost_model: Optional[EntryCostModel] = None
 
-    # -- recording hooks ----------------------------------------------
+    # -- recording (stream subscriber) ---------------------------------
 
-    def watch(self, node: int, cache) -> None:
-        """Subscribe to ``cache``'s access events as compute ``node``."""
-        self._events.setdefault(node, [])
-        self._watched[node] = {
-            "capacity_bytes": cache.capacity_bytes,
-            "policy": cache.policy.name,
-        }
-        cache.attach_access_observer(
-            lambda event, node=node: self._record(node, event)
-        )
+    def subscribe(self, stream) -> None:
+        """Record every access on the caches bound to ``stream``, and map
+        each submitted query to its tenant."""
+        stream.subscribe(CacheOp, self._on_cache_op)
+        stream.subscribe(CacheAccess, self._record)
+        stream.subscribe(QuerySubmitted, self._on_submit)
 
-    def note_query(self, qid: int, tenant: str) -> None:
-        """Map a submitted query to its tenant (fed by ``on_submit``)."""
-        self._tenants[qid] = tenant
+    def _on_cache_op(self, ev: CacheOp) -> None:
+        if ev.op == "bind":
+            self._events.setdefault(ev.node, [])
+            self._watched[ev.node] = {
+                "capacity_bytes": ev.cache.capacity_bytes,
+                "policy": ev.cache.policy.name,
+            }
 
-    def _record(self, node: int, event) -> None:
-        self._events[node].append((
-            self._clock(), event.op, event.key, event.nbytes,
-            event.qid, event.origin,
+    def _on_submit(self, ev: QuerySubmitted) -> None:
+        self._tenants[ev.entry.qid] = ev.entry.tenant
+
+    def _record(self, ev: CacheAccess) -> None:
+        self._events[ev.node].append((
+            self._clock(), ev.op, ev.key, ev.nbytes, ev.qid, ev.origin,
         ))
 
     # -- analysis -----------------------------------------------------

@@ -1,19 +1,22 @@
-"""The serve observatory: wiring observability into the query server.
+"""The serve observatory: continuous observation of a query server.
 
 :class:`ServeObservatory` bundles the three observability surfaces —
 windowed time-series (:mod:`repro.telemetry.timeseries`), the structured
 ops log (:mod:`repro.telemetry.oplog`) and per-tenant SLO tracking
-(:mod:`repro.server.slo`) — behind the narrow hook set the server calls
-at each lifecycle decision.  The server owns *when* to observe; the
-observatory owns *what* gets recorded where, so instrument naming and
-event vocabulary live in exactly one place.
+(:mod:`repro.server.slo`) — plus the cache reuse recorder, and feeds
+them from one subscription to the engine's event stream
+(:mod:`repro.cluster.stream`): admission-queue depth, breaker edges,
+shared-cache operations and accesses, and the server's query lifecycle
+(submit, queue, evict, admit, slots, deadline, fault, retry, terminal).
+The server owns *when* an event happens; the observatory owns *what*
+gets recorded where, so instrument naming lives in exactly one place.
 
-The contract that keeps this honest: every hook is **passive**.  No
-hook schedules an engine event, draws randomness, or mutates server
-state — observability reads the serve, never steers it — so a serve
-with the observatory attached is event-for-event identical to one
-without, and the serve digest cannot move (the acceptance suite and the
-CLI sanitizer both assert exactly this).
+The contract that keeps this honest is the stream's: every handler is
+**passive**.  None schedules an engine event, draws randomness, or
+mutates server state — observability reads the serve, never steers it —
+so a serve with the observatory attached is event-for-event identical
+to one without, and the serve digest cannot move (the acceptance suite
+and the CLI sanitizer both assert exactly this).
 """
 
 from __future__ import annotations
@@ -21,6 +24,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional
 
+from repro.cluster.stream import (
+    AttemptFailed,
+    BreakerEdge,
+    CacheAccess,
+    CacheOp,
+    DeadlineHit,
+    QueryAdmitted,
+    QueryEvicted,
+    QueryQueued,
+    QuerySubmitted,
+    QueryTerminal,
+    QueueDepth,
+    RetryScheduled,
+    SlotsChanged,
+)
 from repro.observe.reuse import AccessTraceRecorder
 from repro.server.resilience import (
     COMPLETED,
@@ -69,7 +87,11 @@ class ObservabilityConfig:
 
 
 class ServeObservatory:
-    """Continuous observation of one serve, on the simulated clock."""
+    """Continuous observation of one serve, on the simulated clock.
+
+    ``breaker`` says the serve has a circuit breaker, whose open/closed
+    gauge then starts at t=0 like the other level gauges.
+    """
 
     def __init__(
         self,
@@ -77,6 +99,7 @@ class ServeObservatory:
         clock: Callable[[], float],
         slots: int,
         span_source: Optional[Callable[[], Optional[int]]] = None,
+        breaker: bool = False,
     ) -> None:
         self.config = config
         self._clock = clock
@@ -90,7 +113,6 @@ class ServeObservatory:
             threshold=config.burn_threshold,
             min_events=config.min_events,
         )
-        self._cache_nodes: List[int] = []
         #: key-granular access recorder feeding the reuse analysis
         #: (None when config.reuse is off)
         self.reuse: Optional[AccessTraceRecorder] = (
@@ -103,58 +125,56 @@ class ServeObservatory:
         self.series.set("server.queue_depth", 0.0)
         self.series.set("server.inflight", 0.0)
         self.series.set("server.slot_utilization", 0.0)
+        if breaker:
+            self.series.set("server.breaker_open", 0.0)
 
-    # -- passive attachments -------------------------------------------
-
-    def watch_policy(self, policy) -> None:
-        """Sample the queue-depth gauge on every admission-queue change."""
-        policy.attach_observer(
-            lambda depth: self.series.set("server.queue_depth", float(depth))
-        )
-
-    def watch_breaker(self, breaker) -> None:
-        """Track breaker open/close edges as gauge steps and log events."""
-        self.series.set("server.breaker_open", 0.0)
-        breaker.attach_observer(lambda is_open: self._on_breaker(is_open))
-
-    def _on_breaker(self, is_open: bool) -> None:
-        self.series.set("server.breaker_open", 1.0 if is_open else 0.0)
-        self.oplog.emit("breaker_open" if is_open else "breaker_close")
-
-    def watch_cache(self, node: int, cache) -> None:
-        """Sample one compute node's shared cache at each state change."""
-        self._cache_nodes.append(node)
+    def subscribe(self, stream) -> None:
+        """Observe the serve through its engine's event stream."""
         if self.reuse is not None:
-            self.reuse.watch(node, cache)
-        prefix = f"cache.j{node}"
-        self.series.set(f"{prefix}.occupancy_bytes", 0.0)
-        self.series.set(f"{prefix}.staged_bytes", 0.0)
-        seen = {"hits": 0, "misses": 0}
+            self.reuse.subscribe(stream)
+        for kind, fn in (
+            (QueueDepth, self._on_depth),
+            (BreakerEdge, self._on_breaker),
+            (CacheOp, self._on_cache_op),
+            (CacheAccess, self._on_cache_access),
+            (QuerySubmitted, self._on_submit),
+            (QueryQueued, self._on_queue),
+            (QueryEvicted, self._on_evict),
+            (QueryAdmitted, self._on_admit),
+            (SlotsChanged, self._on_slots),
+            (DeadlineHit, self._on_deadline),
+            (AttemptFailed, self._on_fault),
+            (RetryScheduled, self._on_retry),
+            (QueryTerminal, self._on_terminal),
+        ):
+            stream.subscribe(kind, fn)
 
-        def observe(op: str, cache) -> None:
-            stats = cache.stats
-            if stats.hits > seen["hits"]:
-                self.series.inc(f"{prefix}.hits", stats.hits - seen["hits"])
-                seen["hits"] = stats.hits
-            if stats.misses > seen["misses"]:
-                self.series.inc(
-                    f"{prefix}.misses", stats.misses - seen["misses"]
-                )
-                seen["misses"] = stats.misses
-            self.series.set(
-                f"{prefix}.occupancy_bytes", float(cache.used_bytes)
-            )
-            self.series.set(
-                f"{prefix}.staged_bytes", float(cache.prefetch_bytes)
-            )
+    # -- queue, breaker and caches ---------------------------------------
 
-        cache.attach_observer(observe)
+    def _on_depth(self, ev: QueueDepth) -> None:
+        self.series.set("server.queue_depth", float(ev.depth))
 
-    # -- lifecycle hooks (called by the server) ------------------------
+    def _on_breaker(self, ev: BreakerEdge) -> None:
+        self.series.set("server.breaker_open", 1.0 if ev.is_open else 0.0)
+        self.oplog.emit("breaker_open" if ev.is_open else "breaker_close")
 
-    def on_submit(self, entry) -> None:
-        if self.reuse is not None:
-            self.reuse.note_query(entry.qid, entry.tenant)
+    def _on_cache_op(self, ev: CacheOp) -> None:
+        """Sample one compute node's shared cache at each state change
+        (and at bind, which opens its tracks)."""
+        prefix = f"cache.j{ev.node}"
+        self.series.set(f"{prefix}.occupancy_bytes", float(ev.cache.used_bytes))
+        self.series.set(f"{prefix}.staged_bytes", float(ev.cache.prefetch_bytes))
+
+    def _on_cache_access(self, ev: CacheAccess) -> None:
+        if ev.op == "hit":
+            self.series.inc(f"cache.j{ev.node}.hits")
+        elif ev.op == "miss":
+            self.series.inc(f"cache.j{ev.node}.misses")
+
+    # -- query lifecycle --------------------------------------------------
+
+    def _on_submit(self, ev: QuerySubmitted) -> None:
+        entry = ev.entry
         self.series.inc("server.submitted")
         self.oplog.emit(
             "submit",
@@ -164,61 +184,66 @@ class ServeObservatory:
             predicted=entry.predicted_time,
         )
 
-    def on_queue(self, entry, depth: int) -> None:
-        self.oplog.emit("queue", qid=entry.qid, tenant=entry.tenant, depth=depth)
-
-    def on_evict(self, victim, reason: str) -> None:
+    def _on_queue(self, ev: QueryQueued) -> None:
         self.oplog.emit(
-            "evict", qid=victim.qid, tenant=victim.tenant, reason=reason
+            "queue", qid=ev.entry.qid, tenant=ev.entry.tenant, depth=ev.depth
         )
 
-    def on_admit(self, entry, slots_free: int, depth: int) -> None:
+    def _on_evict(self, ev: QueryEvicted) -> None:
+        self.oplog.emit(
+            "evict", qid=ev.entry.qid, tenant=ev.entry.tenant, reason=ev.reason
+        )
+
+    def _on_admit(self, ev: QueryAdmitted) -> None:
+        entry = ev.entry
         self.series.inc("server.admitted")
-        self._sample_slots(slots_free)
+        self._sample_slots(ev.slots_free)
         self.oplog.emit(
             "admit",
             qid=entry.qid,
             tenant=entry.tenant,
             wait=self._clock() - entry.submitted_at,
-            depth=depth,
-            slots_in_use=self._slots - slots_free,
+            depth=ev.depth,
+            slots_in_use=self._slots - ev.slots_free,
         )
 
-    def on_slots(self, slots_free: int) -> None:
-        self._sample_slots(slots_free)
+    def _on_slots(self, ev: SlotsChanged) -> None:
+        self._sample_slots(ev.slots_free)
 
     def _sample_slots(self, slots_free: int) -> None:
         in_use = self._slots - slots_free
         self.series.set("server.inflight", float(in_use))
         self.series.set("server.slot_utilization", in_use / self._slots)
 
-    def on_deadline(self, entry, where: str) -> None:
+    def _on_deadline(self, ev: DeadlineHit) -> None:
         self.oplog.emit(
-            "deadline", qid=entry.qid, tenant=entry.tenant, where=where
+            "deadline", qid=ev.entry.qid, tenant=ev.entry.tenant, where=ev.where
         )
 
-    def on_fault(self, entry, attempt: int, cause: BaseException) -> None:
+    def _on_fault(self, ev: AttemptFailed) -> None:
         self.series.inc("server.faults")
         self.oplog.emit(
             "fault",
-            qid=entry.qid,
-            tenant=entry.tenant,
-            attempt=attempt,
-            cause=type(cause).__name__,
+            qid=ev.entry.qid,
+            tenant=ev.entry.tenant,
+            attempt=ev.attempt,
+            cause=type(ev.cause).__name__,
         )
 
-    def on_retry(self, entry, attempt: int, delay: float) -> None:
+    def _on_retry(self, ev: RetryScheduled) -> None:
+        entry = ev.entry
         self.series.inc("server.retries")
         self.oplog.emit(
-            "retry", qid=entry.qid, tenant=entry.tenant, attempt=attempt
+            "retry", qid=entry.qid, tenant=entry.tenant, attempt=ev.attempt
         )
         self.oplog.emit(
-            "backoff", qid=entry.qid, tenant=entry.tenant, delay=delay
+            "backoff", qid=entry.qid, tenant=entry.tenant, delay=ev.delay
         )
 
-    def on_terminal(self, record, slots_free: int) -> None:
+    def _on_terminal(self, ev: QueryTerminal) -> None:
         """Account one terminal disposition: series, SLO budget, oplog."""
-        self._sample_slots(slots_free)
+        record = ev.record
+        self._sample_slots(ev.slots_free)
         self.series.inc(f"server.disposition.{record.disposition}")
         if record.disposition == COMPLETED and record.retries > 0:
             self.oplog.emit(

@@ -48,6 +48,19 @@ from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from repro.cluster.cluster import ClusterSim, ClusterTopology
 from repro.cluster.events import Event, Interrupt, SimulationError
+from repro.cluster.stream import (
+    AttemptFailed,
+    BreakerEdge,
+    DeadlineHit,
+    QueryAdmitted,
+    QueryEvicted,
+    QueryQueued,
+    QuerySubmitted,
+    QueryTerminal,
+    QueueDepth,
+    RetryScheduled,
+    SlotsChanged,
+)
 from repro.cluster.nodes import MachineSpec, PAPER_MACHINE
 from repro.core.engine import assemble_result, bbox_mask
 from repro.core.planner import QueryPlanningService
@@ -413,7 +426,6 @@ class QueryServer:
         slots: int = 2,
         cache_policy: str = "lru",
         cache_capacity: Optional[int] = None,
-        kernel: str = "vectorized",
         calibration=None,
         sanitize: bool = False,
         telemetry: bool = False,
@@ -430,7 +442,6 @@ class QueryServer:
             # shared cache serves an interleaving no single query knows
             raise ValueError("belady is undefined for a shared server cache")
         self.dataset = dataset
-        self.kernel = kernel
         self.aggregate_mode = aggregate_mode
         self.slots = slots
         self.resilience = resilience if resilience is not None else ResilienceConfig()
@@ -461,17 +472,6 @@ class QueryServer:
             from repro.analysis.sanitizer import RunSanitizer
 
             self.sanitizer = RunSanitizer()
-            self.sanitizer.attach_engine(self.cluster.engine)
-            self.sanitizer.attach_cluster(self.cluster)
-            for j, cache in enumerate(self.caches):
-                self.sanitizer.attach_cache(cache, name=f"node{j}")
-        if telemetry:
-            tel = self.cluster.telemetry
-            dataset.metadata.attach_metrics(tel.metrics)
-            for j, cache in enumerate(self.caches):
-                cache.attach_telemetry(
-                    tel, lambda: self.cluster.engine.now, prefix=f"cache.j{j}"
-                )
         # ``observe`` enables the continuous observability layer: pass
         # ``True`` for defaults or an ObservabilityConfig for SLOs and
         # window sizing.  Purely passive — a serve with observability on
@@ -494,12 +494,8 @@ class QueryServer:
                 clock=lambda: self.cluster.engine.now,
                 slots=slots,
                 span_source=span_source,
+                breaker=self._breaker is not None,
             )
-            self.observatory.watch_policy(self._policy)
-            if self._breaker is not None:
-                self.observatory.watch_breaker(self._breaker)
-            for j, cache in enumerate(self.caches):
-                self.observatory.watch_cache(j, cache)
             if self.observatory.reuse is not None:
                 # price recompute-vs-fetch with the same machine constants
                 # (and calibration) the planner itself uses
@@ -508,6 +504,13 @@ class QueryServer:
                     record_size=_record_size(dataset),
                     calibration=calibration,
                 )
+        self.cluster.observe(
+            self.caches,
+            sanitizer=self.sanitizer,
+            observatory=self.observatory,
+            metadata=dataset.metadata,
+        )
+        self._stream = self.cluster.engine.stream
         # -- serve-time state ------------------------------------------
         self._served = False
         self._slots_free = slots
@@ -635,13 +638,12 @@ class QueryServer:
                 yield engine.timeout(arrival.at - engine.now)
             planned = build_query(self.dataset, self.planner, arrival)
             entry = QueuedQuery(planned, engine.now, engine.event())
-            if self.observatory is not None:
-                self.observatory.on_submit(entry)
+            self._stream.emit(QuerySubmitted, entry)
             if self._shed_on_submit(entry):
                 continue
             self._policy.submit(entry)
-            if self.observatory is not None:
-                self.observatory.on_queue(entry, len(self._policy))
+            self._queue_changed()
+            self._stream.emit(QueryQueued, entry, len(self._policy))
             engine.process(self._lifecycle(entry), name=f"server-q{entry.qid}")
             self._kick()
         self._arrivals_done = True
@@ -674,10 +676,13 @@ class QueryServer:
         if not self._policy.remove(victim):
             # the victim was admitted at this very instant; nobody sheds
             return False
-        if self.observatory is not None:
-            self.observatory.on_evict(victim, note)
+        self._queue_changed()
+        self._stream.emit(QueryEvicted, victim, note)
         victim.admitted.fail(QueryShed(victim.qid, note))
         return False
+
+    def _queue_changed(self) -> None:
+        self._stream.emit(QueueDepth, len(self._policy))
 
     def _dispatcher(self):
         """Grant free slots to the policy's next picks; park otherwise.
@@ -694,15 +699,19 @@ class QueryServer:
         while True:
             while self._slots_free > 0 and len(self._policy) > 0:
                 entry = self._policy.pop()
+                self._queue_changed()
                 self._slots_free -= 1
                 entry.admitted_at = engine.now
                 self._admission_order.append(entry.qid)
                 if self._breaker is not None:
-                    self._breaker.observe_wait(engine.now - entry.submitted_at)
-                if self.observatory is not None:
-                    self.observatory.on_admit(
-                        entry, self._slots_free, len(self._policy)
+                    edge = self._breaker.observe_wait(
+                        engine.now - entry.submitted_at
                     )
+                    if edge is not None:
+                        self._stream.emit(BreakerEdge, edge)
+                self._stream.emit(
+                    QueryAdmitted, entry, self._slots_free, len(self._policy)
+                )
                 entry.admitted.succeed()
             if (
                 self._arrivals_done
@@ -765,8 +774,7 @@ class QueryServer:
             self._slots_free += 1
         self._terminal += 1
         self._last_terminal_at = engine.now
-        if self.observatory is not None:
-            self.observatory.on_terminal(record, self._slots_free)
+        self._stream.emit(QueryTerminal, record, self._slots_free)
         self._kick()
 
     def _lifecycle(self, entry: QueuedQuery):
@@ -832,13 +840,11 @@ class QueryServer:
                 # but the deadline won the race: hand the slot straight
                 # back (it was never used)
                 self._slots_free += 1
-                if self.observatory is not None:
-                    self.observatory.on_slots(self._slots_free)
+                self._stream.emit(SlotsChanged, self._slots_free)
                 self._kick()
-            else:
-                self._policy.remove(entry)
-            if self.observatory is not None:
-                self.observatory.on_deadline(entry, "queued")
+            elif self._policy.remove(entry):
+                self._queue_changed()
+            self._stream.emit(DeadlineHit, entry, "queued")
             self._finalize(
                 entry, DEADLINE_EXCEEDED, _Outcome(), note="deadline while queued"
             )
@@ -892,8 +898,7 @@ class QueryServer:
             except (FaultError, UnrecoverableFault) as exc:
                 failure = exc
             if deadline_hit:
-                if self.observatory is not None:
-                    self.observatory.on_deadline(entry, "executing")
+                self._stream.emit(DeadlineHit, entry, "executing")
                 yield from self._abort_attempt(entry, exec_proc, ctx)
                 self._salvage(outcome, ctx)
                 outcome.bytes_from_storage += wasted
@@ -911,8 +916,7 @@ class QueryServer:
                 return
             # the attempt died on a fault: kill its leftovers (surviving
             # joiners of a half-dead execution) and decide its fate
-            if self.observatory is not None:
-                self.observatory.on_fault(entry, attempt, failure)
+            self._stream.emit(AttemptFailed, entry, attempt, failure)
             self._salvage(outcome, ctx)
             if ctx.handle is not None:
                 ctx.handle.abort(QueryAborted(entry.qid, "attempt failed"))
@@ -931,8 +935,7 @@ class QueryServer:
                 return
             wasted += outcome.bytes_from_storage
             delay = retry.backoff(planned.arrival.seed, attempt)
-            if self.observatory is not None:
-                self.observatory.on_retry(entry, attempt, delay)
+            self._stream.emit(RetryScheduled, entry, attempt, delay)
             timer = engine.timeout(delay)
             if deadline_ev is None:
                 yield timer
@@ -940,8 +943,7 @@ class QueryServer:
                 brace = engine.any_of([timer, deadline_ev])
                 yield brace
                 if brace.first_index == 1:
-                    if self.observatory is not None:
-                        self.observatory.on_deadline(entry, "backoff")
+                    self._stream.emit(DeadlineHit, entry, "backoff")
                     self._finalize(
                         entry, DEADLINE_EXCEEDED,
                         _Outcome(bytes_from_storage=wasted),
@@ -1164,7 +1166,6 @@ class QueryServer:
                 join_view.on,
                 self.dataset.provider,
                 index=planned.plan.index,
-                kernel=self.kernel,
                 caches=caches,
                 busy_joiners=self._busy_for(planned.qid),
                 critical_path=False,
@@ -1179,7 +1180,6 @@ class QueryServer:
                 join_view.right,
                 join_view.on,
                 self.dataset.provider,
-                kernel=self.kernel,
                 range_constraint=join_view.where,
                 critical_path=False,
                 contain_faults=contained,

@@ -25,10 +25,17 @@ byte-identical to a run without prefetching.
 For the reuse observatory the service also keeps *per-entry* access
 bookkeeping — access count, last-access tick, and the entry's origin
 (``"base"`` for a BDS chunk fetched as-is, ``"derived"`` for a DDS
-output such as a sub-table with its built hash table) — and exposes a
-key-granular access-event channel (:meth:`attach_access_observer`).
-Both are passive: they never evict, pin, schedule or draw randomness,
-so enabling them changes no digest and no report byte.
+output such as a sub-table with its built hash table).
+
+Observation goes through the run's event stream
+(:mod:`repro.cluster.stream`): a run binds each cache to its engine's
+stream as a compute node (:meth:`CachingService.bind`), and the cache emits a
+:class:`~repro.cluster.stream.CacheAccess` per hit/miss/insert/drop and a
+:class:`~repro.cluster.stream.CacheOp` after every state-changing
+operation.  The sanitizer, telemetry, the serve observatory and the
+reuse recorder all subscribe there; none of them evicts, pins,
+schedules or draws randomness, so watching changes no digest and no
+report byte.
 """
 
 from __future__ import annotations
@@ -47,6 +54,8 @@ from typing import (
     TypeVar,
 )
 
+from repro.cluster.stream import CacheAccess, CacheOp, EventStream
+
 __all__ = [
     "CacheAccess",
     "CacheStats",
@@ -63,26 +72,6 @@ __all__ = [
 
 K = TypeVar("K", bound=Hashable)
 V = TypeVar("V")
-
-
-@dataclass(frozen=True)
-class CacheAccess(Generic[K]):
-    """One key-granular cache event, as seen by access observers.
-
-    ``op`` is one of ``"hit"``/``"miss"`` (lookups), ``"insert"``
-    (successful put, fresh or replacing) or ``"drop"`` (explicit remove
-    or invalidation — *not* a capacity eviction, which a what-if replay
-    must re-derive itself).  ``nbytes``/``origin`` are ``None`` on a
-    miss (there is no entry to describe); ``qid`` carries the query the
-    access is attributed to when the operation arrived through a
-    :class:`QueryCacheView` with a known query id.
-    """
-
-    op: str
-    key: K
-    nbytes: Optional[int] = None
-    origin: Optional[str] = None
-    qid: Optional[int] = None
 
 
 @dataclass
@@ -376,93 +365,42 @@ class CachingService(Generic[K, V]):
         self._staged: Dict[K, _Staged[V]] = {}
         self._staged_bytes = 0
         self.stats = CacheStats()
-        #: invariant checks run after every mutating operation (sanitizer)
-        self._validators: List = []
-        #: passive observers called as fn(op, cache) after ops and gets
-        self._observers: List = []
-        #: key-granular observers called as fn(CacheAccess)
-        self._access_observers: List = []
         #: query id the current forwarded view operation attributes to
         self.access_context: Optional[int] = None
         #: monotone lookup counter driving per-entry ``last_access``
         self._ticks = 0
-        self._telemetry = None
-        self._clock = None
-        self._metric_prefix = "cache"
+        #: the stream this cache reports to and the compute node it
+        #: reports as; private and unwatched until :meth:`bind`
+        self._stream = EventStream()
+        self._node: Optional[int] = None
 
-    def attach_telemetry(self, telemetry, clock, prefix: str = "cache") -> None:
-        """Register cache instruments on a telemetry hub.
+    def bind(self, stream: EventStream, node: int) -> None:
+        """Report to ``stream`` as compute ``node`` from now on.
 
-        The cache has no engine reference, so the simulated clock is
-        injected as a zero-argument ``clock`` callable; occupancy is
-        sampled after every mutating operation, hits/misses counted on
-        :meth:`get`.
+        A run binds its caches to its engine's stream; a warm cache
+        reused by a later run is rebound and stops notifying the earlier
+        run's subscribers.  Rebinding to the same place is a no-op;
+        otherwise subscribers see a ``CacheOp("bind")``.
         """
-        self._telemetry = telemetry
-        self._clock = clock
-        self._metric_prefix = prefix
-        telemetry.metrics.counter(f"{prefix}.hits")
-        telemetry.metrics.counter(f"{prefix}.misses")
-        occupancy = telemetry.metrics.gauge(f"{prefix}.occupancy_bytes")
-        occupancy.set(clock(), float(self._bytes))
+        if stream is self._stream and node == self._node:
+            return
+        self._stream = stream
+        self._node = node
+        stream.emit(CacheOp, "bind", self, node)
 
-    def install_validator(self, fn) -> None:
-        """Register ``fn(op_name)`` to run after every mutating operation.
-
-        The runtime sanitizer uses this to re-check the cache's byte
-        accounting at each step; validators must not mutate the cache.
-        """
-        self._validators.append(fn)
-
-    def attach_observer(self, fn) -> None:
-        """Register ``fn(op, cache)`` to run after ops and lookups.
-
-        Unlike validators (sanitizer invariants) and telemetry (span
-        traces), observers feed the observability time-series: occupancy,
-        staged bytes and hit/miss deltas sampled at each state change.
-        Observers must treat the cache as read-only.
-        """
-        self._observers.append(fn)
-
-    def attach_access_observer(self, fn) -> None:
-        """Register ``fn(event)`` for key-granular :class:`CacheAccess`
-        events (hit/miss/insert/drop).
-
-        This is the reuse observatory's trace feed.  Like coarse
-        observers, access observers are strictly passive: they run after
-        the state change they describe and must treat the cache as
-        read-only.
-        """
-        self._access_observers.append(fn)
-
-    def _notify_observers(self, op: str) -> None:
-        for fn in self._observers:
-            fn(op, self)
-
-    def _notify_access(
+    def _access(
         self,
         op: str,
         key: K,
         nbytes: Optional[int] = None,
         origin: Optional[str] = None,
     ) -> None:
-        if not self._access_observers:
-            return
-        event = CacheAccess(
-            op=op, key=key, nbytes=nbytes, origin=origin,
-            qid=self.access_context,
+        self._stream.emit(
+            CacheAccess, op, key, nbytes, origin, self.access_context, self._node
         )
-        for fn in self._access_observers:
-            fn(event)
 
     def _after_op(self, op: str) -> None:
-        if self._telemetry is not None:
-            self._telemetry.metrics.gauge(
-                f"{self._metric_prefix}.occupancy_bytes"
-            ).set(self._clock(), float(self._bytes))
-        for fn in self._validators:
-            fn(op)
-        self._notify_observers(op)
+        self._stream.emit(CacheOp, op, self, self._node)
 
     # -- observers ----------------------------------------------------------------
 
@@ -519,21 +457,13 @@ class CachingService(Generic[K, V]):
         entry = self._entries.get(key)
         if entry is None:
             self.stats.misses += 1
-            if self._telemetry is not None:
-                self._telemetry.metrics.counter(
-                    f"{self._metric_prefix}.misses"
-                ).inc()
-            self._notify_access("miss", key)
-            self._notify_observers("get")
+            self._access("miss", key)
             return None
         self.stats.hits += 1
         entry.accesses += 1
         entry.last_access = tick
-        if self._telemetry is not None:
-            self._telemetry.metrics.counter(f"{self._metric_prefix}.hits").inc()
         self.policy.on_access(key)
-        self._notify_access("hit", key, entry.nbytes, entry.origin)
-        self._notify_observers("get")
+        self._access("hit", key, entry.nbytes, entry.origin)
         return entry.value
 
     def peek(self, key: K) -> Optional[V]:
@@ -565,8 +495,8 @@ class CachingService(Generic[K, V]):
         BDS chunk as fetched, ``"derived"`` for a DDS product (e.g. a
         left sub-table bundled with its built hash table).
         """
-        # validators must also see failed puts: a put can evict victims and
-        # still return False when the entry ultimately cannot fit
+        # subscribers must also see failed puts: a put can evict victims
+        # and still return False when the entry ultimately cannot fit
         ok = self._put(key, value, nbytes, pin, source, origin)
         self._after_op("put")
         return ok
@@ -599,7 +529,7 @@ class CachingService(Generic[K, V]):
             if pin:
                 old.pins += 1
             self.policy.on_access(key)
-            self._notify_access("insert", key, nbytes, origin)
+            self._access("insert", key, nbytes, origin)
             return True
         if nbytes > self.capacity_bytes:
             return False
@@ -612,7 +542,7 @@ class CachingService(Generic[K, V]):
         self._bytes += nbytes
         self.stats.bytes_inserted += nbytes
         self.policy.on_insert(key)
-        self._notify_access("insert", key, nbytes, origin)
+        self._access("insert", key, nbytes, origin)
         return True
 
     def pin(self, key: K) -> None:
@@ -753,7 +683,7 @@ class CachingService(Generic[K, V]):
             return False
         self._bytes -= entry.nbytes
         self.policy.on_remove(key)
-        self._notify_access("drop", key, entry.nbytes, entry.origin)
+        self._access("drop", key, entry.nbytes, entry.origin)
         self._after_op("remove")
         return True
 
@@ -865,8 +795,8 @@ class QueryCacheView(Generic[K, V]):
     cache's own (that sharing is the point of a view server).
 
     ``qid`` tags forwarded lookups and inserts with the owning query so
-    key-granular access observers can attribute traffic per query (and,
-    through the server's submit records, per tenant).  The tag is set on
+    subscribers to the :class:`CacheAccess` events can attribute traffic
+    per query (and, through the server's submit events, per tenant).  The tag is set on
     the shared cache only for the duration of each forwarded call — the
     simulation is single-threaded and cache operations are atomic — and
     is pure bookkeeping: it changes no eviction, pin or stat decision.
@@ -920,24 +850,28 @@ class QueryCacheView(Generic[K, V]):
     def prefetch_bytes(self) -> int:
         return self.shared.prefetch_bytes
 
-    def attach_telemetry(self, telemetry, clock, prefix: str = "cache") -> None:
-        """No-op: the *owner* of the shared cache wires telemetry once;
-        per-query views must not re-register or re-prefix instruments."""
-
-    def install_validator(self, fn) -> None:
-        self.shared.install_validator(fn)
+    def bind(self, stream: EventStream, node: int) -> None:
+        self.shared.bind(stream, node)
 
     # -- forwarded operations (stat-attributing) -------------------------
 
-    def get(self, key: K) -> Optional[V]:
-        before = self.shared.stats.snapshot()
-        prev = self.shared.access_context
-        self.shared.access_context = self.qid
+    def _forward(self, op, *args, tag: bool = False):
+        """Run the shared cache's bound method ``op``, folding its counter
+        deltas into this view's ledger; ``tag`` attributes the accesses
+        it emits to this view's query."""
+        shared = self.shared
+        before = shared.stats.snapshot()
+        prev = shared.access_context
+        if tag:
+            shared.access_context = self.qid
         try:
-            return self.shared.get(key)
+            return op(*args)
         finally:
-            self.shared.access_context = prev
+            shared.access_context = prev
             self._absorb(before)
+
+    def get(self, key: K) -> Optional[V]:
+        return self._forward(self.shared.get, key, tag=True)
 
     def put(
         self,
@@ -948,16 +882,9 @@ class QueryCacheView(Generic[K, V]):
         source: Optional[int] = None,
         origin: str = "base",
     ) -> bool:
-        before = self.shared.stats.snapshot()
-        prev = self.shared.access_context
-        self.shared.access_context = self.qid
-        try:
-            return self.shared.put(
-                key, value, nbytes, pin=pin, source=source, origin=origin
-            )
-        finally:
-            self.shared.access_context = prev
-            self._absorb(before)
+        return self._forward(
+            self.shared.put, key, value, nbytes, pin, source, origin, tag=True
+        )
 
     def pin(self, key: K) -> None:
         self.shared.pin(key)
@@ -967,7 +894,7 @@ class QueryCacheView(Generic[K, V]):
 
     def pin_scope(self) -> PinScope[K, V]:
         """A pin scope over *this view*, so its inserts carry the view's
-        query attribution for access observers.
+        query attribution in its access events.
 
         The scope's pins and puts land on the shared cache exactly as
         before (a pin is global state); routing them through the view
@@ -979,50 +906,22 @@ class QueryCacheView(Generic[K, V]):
         return PinScope(self)
 
     def prefetch_begin(self, key: K, nbytes: int) -> bool:
-        before = self.shared.stats.snapshot()
-        try:
-            return self.shared.prefetch_begin(key, nbytes)
-        finally:
-            self._absorb(before)
+        return self._forward(self.shared.prefetch_begin, key, nbytes)
 
     def prefetch_complete(self, key: K, value: V) -> None:
-        before = self.shared.stats.snapshot()
-        try:
-            self.shared.prefetch_complete(key, value)
-        finally:
-            self._absorb(before)
+        self._forward(self.shared.prefetch_complete, key, value)
 
     def prefetch_cancel(self, key: K) -> None:
-        before = self.shared.stats.snapshot()
-        try:
-            self.shared.prefetch_cancel(key)
-        finally:
-            self._absorb(before)
+        self._forward(self.shared.prefetch_cancel, key)
 
     def take_prefetched(self, key: K) -> Optional[V]:
-        before = self.shared.stats.snapshot()
-        try:
-            return self.shared.take_prefetched(key)
-        finally:
-            self._absorb(before)
+        return self._forward(self.shared.take_prefetched, key)
 
     def cancel_staged(self) -> int:
-        before = self.shared.stats.snapshot()
-        try:
-            return self.shared.cancel_staged()
-        finally:
-            self._absorb(before)
+        return self._forward(self.shared.cancel_staged)
 
     def remove(self, key: K) -> bool:
-        before = self.shared.stats.snapshot()
-        try:
-            return self.shared.remove(key)
-        finally:
-            self._absorb(before)
+        return self._forward(self.shared.remove, key)
 
     def invalidate_from(self, source: int) -> int:
-        before = self.shared.stats.snapshot()
-        try:
-            return self.shared.invalidate_from(source)
-        finally:
-            self._absorb(before)
+        return self._forward(self.shared.invalidate_from, source)

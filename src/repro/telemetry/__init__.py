@@ -7,8 +7,11 @@ histograms), and the resource→node mapping the exporters use to group
 tracks.  A :class:`~repro.cluster.cluster.ClusterSim` built with
 ``telemetry=True`` owns one instance, reachable from every component as
 ``engine.telemetry``; when the flag is off the attribute is ``None`` and
-every instrumentation site short-circuits without allocating (see
-:func:`~repro.telemetry.spans.maybe_span`).
+every span site short-circuits without allocating (see
+:func:`~repro.telemetry.spans.maybe_span`).  The metrics are fed by
+subscribing the hub to the engine's event stream
+(:mod:`repro.cluster.stream`): resource busy intervals, fabric
+transfers, injected faults and cache accesses/operations.
 
 Everything recorded is a pure function of the simulation: spans stamp
 ``engine.now``, metrics are fed simulated timestamps, and no telemetry
@@ -18,8 +21,9 @@ to an untraced one.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
+from repro.cluster.stream import Busy, CacheAccess, CacheOp, FaultInjected, NetTransfer
 from repro.telemetry.latency import LatencyTracker, percentile
 from repro.telemetry.metrics import (
     DEFAULT_BYTE_BUCKETS,
@@ -79,22 +83,56 @@ class Telemetry:
     def node_of(self, resource: str) -> str:
         return self.resource_nodes.get(resource, "global")
 
-    # -- hooks called from the cluster layer -----------------------------
+    # -- the metrics feed, subscribed to the engine's event stream --------
 
-    def on_reservation(
-        self, resource: str, now: float, start: float, nbytes: Optional[float]
-    ) -> None:
-        """Observe one bandwidth reservation on ``resource``.
+    def subscribe(self, stream) -> None:
+        """Feed the registry (and fault marker spans) from ``stream``."""
+        stream.subscribe(Busy, self._on_busy)
+        stream.subscribe(NetTransfer, self._on_transfer)
+        stream.subscribe(FaultInjected, self._on_fault)
+        stream.subscribe(CacheAccess, self._on_cache_access)
+        stream.subscribe(CacheOp, self._on_cache_op)
 
-        ``start - now`` is the time the request sat behind earlier
-        reservations — the FIFO queue delay — recorded as a per-resource
-        gauge so convoys show up as sustained non-zero queue depth.
-        """
-        self.metrics.gauge(f"queue.{resource}").set(now, start - now)
-        if nbytes is not None:
-            self.metrics.histogram(
-                "resource.request_bytes", bounds=DEFAULT_BYTE_BUCKETS
-            ).observe(nbytes)
+    def _on_busy(self, ev: Busy) -> None:
+        # ``start - queued_at`` is the time the request sat behind earlier
+        # reservations — the FIFO queue delay — so convoys show up as
+        # sustained non-zero queue depth
+        self.metrics.gauge(f"queue.{ev.resource}").set(
+            ev.queued_at, ev.start - ev.queued_at
+        )
+        self.metrics.histogram(
+            "resource.request_bytes", bounds=DEFAULT_BYTE_BUCKETS
+        ).observe(ev.nbytes)
+
+    def _on_transfer(self, ev: NetTransfer) -> None:
+        self.metrics.counter("net.transfers").inc()
+        self.metrics.histogram(
+            "net.transfer_bytes", bounds=DEFAULT_BYTE_BUCKETS
+        ).observe(ev.nbytes)
+
+    def _on_fault(self, ev: FaultInjected) -> None:
+        self.metrics.counter(ev.counter).inc()
+        # zero-length marker span: visible as an instant in the trace
+        span = self.recorder.begin(
+            ev.name, category="fault", node="global", track="faults",
+            parent=None, detached=True, **ev.attrs,
+        )
+        self.recorder.finish(span)
+
+    def _on_cache_access(self, ev: CacheAccess) -> None:
+        if ev.op == "hit":
+            self.metrics.counter(f"cache.j{ev.node}.hits").inc()
+        elif ev.op == "miss":
+            self.metrics.counter(f"cache.j{ev.node}.misses").inc()
+
+    def _on_cache_op(self, ev: CacheOp) -> None:
+        prefix = f"cache.j{ev.node}"
+        if ev.op == "bind":
+            self.metrics.counter(f"{prefix}.hits")
+            self.metrics.counter(f"{prefix}.misses")
+        self.metrics.gauge(f"{prefix}.occupancy_bytes").set(
+            self.now(), float(ev.cache.used_bytes)
+        )
 
     def span_until(self, event, span: Span) -> None:
         """Close ``span`` when ``event`` fires (at the firing time).

@@ -13,6 +13,7 @@ from repro.analysis.sanitizer import (
     semantic_digest,
 )
 from repro.cluster.events import SimEngine
+from repro.cluster.stream import EventStream
 from repro.experiments.runner import run_point
 from repro.services.cache import CachingService
 from repro.workloads.generator import GridSpec
@@ -57,8 +58,10 @@ def test_clock_monotonicity_probe():
 
 def test_cache_ledger_corruption_detected():
     san = RunSanitizer(label="cache")
+    stream = EventStream()
+    san.subscribe(stream)
     cache = CachingService(capacity_bytes=100)
-    san.attach_cache(cache, name="c0")
+    cache.bind(stream, 0)
     assert cache.put("a", object(), 10)
     assert san.checks["cache"] == 1
     cache._bytes += 1  # corrupt the ledger behind the cache's back
@@ -68,8 +71,10 @@ def test_cache_ledger_corruption_detected():
 
 def test_negative_pin_detected():
     san = RunSanitizer()
+    stream = EventStream()
+    san.subscribe(stream)
     cache = CachingService(capacity_bytes=100)
-    san.attach_cache(cache, name="c0")
+    cache.bind(stream, 0)
     cache.put("a", object(), 10)
     cache._entries["a"].pins = -1
     with pytest.raises(SanitizerViolation, match="negative pin count"):
@@ -83,7 +88,7 @@ def test_staged_bytes_at_quiesce_detected():
     engine = SimEngine()
     san.attach_engine(engine)
     cache = CachingService(capacity_bytes=100)
-    san.attach_cache(cache, name="c0")
+    cache.bind(engine.stream, 0)
     assert cache.prefetch_begin("a", 10)
     engine.run()
     with pytest.raises(SanitizerViolation, match="staged prefetch bytes"):
@@ -95,7 +100,7 @@ def test_taken_prefetch_passes_quiesce():
     engine = SimEngine()
     san.attach_engine(engine)
     cache = CachingService(capacity_bytes=100)
-    san.attach_cache(cache, name="c0")
+    cache.bind(engine.stream, 0)
     assert cache.prefetch_begin("a", 10)
     cache.prefetch_complete("a", object())
     cache.take_prefetched("a")

@@ -190,3 +190,40 @@ class TestEndToEndWithWriter:
         # range query that hits exactly the second partition (x in [10,20))
         hits = svc.find_chunks("T_oil", BoundingBox({"x": (10, 19.5)}))
         assert [h.chunk_id for h in hits] == [1]
+
+
+class TestBoundsBeyondTheClamp:
+    """Chunk bounds past the R-tree's ±1e18 clamp are still found, exactly."""
+
+    BOXES = [(0.0, 1.0), (2e18, 3e18), (-3e18, -2e18)]
+
+    @classmethod
+    def catalog(cls):
+        svc = MetaDataService()
+        cat = svc.register_table(1, "T1", Schema.of("x", "v", coordinates=("x",)))
+        for cid, bounds in enumerate(cls.BOXES):
+            cat.add_chunk(ChunkDescriptor(
+                id=SubTableId(1, cid),
+                ref=ChunkRef(storage_node=0, path="t1.dat", offset=cid * 800, size=800),
+                attributes=("x", "v"),
+                extractors=("t_ex",),
+                bbox=BoundingBox({"x": bounds}),
+                num_records=100,
+            ))
+        return cat
+
+    def found(self, query):
+        return [c.chunk_id for c in self.catalog().find_chunks(query)]
+
+    def test_unbounded_query_finds_every_chunk(self):
+        assert self.found(BoundingBox.empty()) == [0, 1, 2]
+
+    def test_query_starting_beyond_the_clamp(self):
+        assert self.found(BoundingBox({"x": (1.5e18, float("inf"))})) == [1]
+        assert self.found(BoundingBox({"x": (float("-inf"), -1.5e18)})) == [2]
+
+    def test_clamped_candidates_are_refined_exactly(self):
+        # both boxes clamp onto the same edge of the index; only the exact
+        # overlap test can tell them apart
+        assert self.found(BoundingBox({"x": (1.2e18, 1.5e18)})) == []
+        assert self.found(BoundingBox({"x": (2.5e18, 2.6e18)})) == [1]

@@ -14,7 +14,8 @@ from repro.services import (
     LRUPolicy,
     make_policy,
 )
-from repro.services.cache import QueryCacheView
+from repro.cluster.stream import EventStream
+from repro.services.cache import CacheAccess, QueryCacheView
 
 
 class TestBasicOperations:
@@ -332,6 +333,13 @@ class TestFactory:
             make_policy("marvellous")
 
 
+def access_feed(fn):
+    """A stream whose only subscriber takes the key-granular accesses."""
+    stream = EventStream()
+    stream.subscribe(CacheAccess, fn)
+    return stream
+
+
 class TestAccessTraceFeed:
     """The key-granular access channel the reuse observatory subscribes
     to: purely additive bookkeeping, no behavioural change."""
@@ -349,7 +357,7 @@ class TestAccessTraceFeed:
         plain = self.run_trace(CachingService(100))
         seen = []
         watched = CachingService(100)
-        watched.attach_access_observer(seen.append)
+        watched.bind(access_feed(seen.append), 0)
         self.run_trace(watched)
         assert dataclasses.asdict(watched.stats) == \
             dataclasses.asdict(plain.stats)
@@ -360,7 +368,7 @@ class TestAccessTraceFeed:
     def test_access_feed_reconciles_with_counters(self):
         seen = []
         c = CachingService(100)
-        c.attach_access_observer(seen.append)
+        c.bind(access_feed(seen.append), 0)
         self.run_trace(c)
         ops = [a.op for a in seen]
         assert ops.count("hit") == c.stats.hits
@@ -385,7 +393,7 @@ class TestAccessTraceFeed:
     def test_view_tags_accesses_with_qid(self):
         shared = CachingService(100)
         seen = []
-        shared.attach_access_observer(seen.append)
+        shared.bind(access_feed(seen.append), 0)
         view = QueryCacheView(shared, name="q7", qid=7)
         view.get("x")
         view.put("x", 1, 10)
@@ -403,7 +411,7 @@ class TestAccessTraceFeed:
         # whether the access channel has subscribers or not
         plain = self.run_trace(CachingService(100))
         watched = CachingService(100)
-        watched.attach_access_observer(lambda access: None)
+        watched.bind(access_feed(lambda access: None), 0)
         self.run_trace(watched)
         assert json.dumps(
             dataclasses.asdict(plain.stats), sort_keys=True
